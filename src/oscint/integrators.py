@@ -1,8 +1,14 @@
 """Time steppers for the stiff oscillatory system.
 
-The micro level is a kick-drift-kick leapfrog; the fast-flow solver runs
-it with the slow force switched off.  On the macro level three splitting
-methods share the oscillate step and differ only in the kick force:
+The micro level is a kick-drift-kick leapfrog (model.leapfrog); the
+fast-flow solver runs it with the slow force switched off.  That stiff
+sub-flow goes through the system's stiff_flow, which the double pendulum
+overrides with a bit-identical loop on plain floats: on vectors of four
+entries numpy's per-call overhead, not arithmetic, sets the cost of a
+micro step.  stormer_verlet stays the single entry point and runs
+the constant-mass check and the micro stability guard on every call.
+On the macro level three splitting methods share the oscillate step and
+differ only in the kick force:
 
     impulse    kick with -grad slow(x)
     mollified  kick with -J(x)^T grad slow(p(x)), p the manifold
@@ -20,7 +26,7 @@ import numpy as np
 
 from . import smallmat
 from .geometry import momentum_projector, project_to_manifold
-from .model import OscillatorySystem, State, has_identity_mass
+from .model import OscillatorySystem, State, has_identity_mass, leapfrog
 
 METHOD_KINDS = ("impulse", "mollified", "projected")
 
@@ -119,29 +125,27 @@ def stormer_verlet(
 
     Integrates xdot = M^-1 y, ydot = -[include_slow] grad slow
     - grad stiff / epsilon^2.  One stiff-force evaluation per step.
+    The stiff sub-flow with identity mass runs in sys.stiff_flow, every
+    other case in the generic model.leapfrog.
     """
     _require_constant_mass(sys)
     _check_micro_stability(sys, state.x, h_micro)
     identity_mass, minv = _mass_apply_inverse(sys, state.x)
-    inv_eps2 = 1.0 / sys.epsilon ** 2
-    grad_stiff = sys.grad_stiff
-    grad_slow = sys.grad_slow
     x = state.x.copy()
     y = state.y.copy()
-    half = 0.5 * h_micro
-
-    if include_slow:
-        force = -(grad_slow(x) + inv_eps2 * grad_stiff(x))
+    if identity_mass and not include_slow:
+        x, y = sys.stiff_flow(x, y, h_micro, nsteps)
     else:
-        force = (-inv_eps2) * grad_stiff(x)
-    for _ in range(nsteps):
-        y = y + half * force
-        x = x + h_micro * (y if identity_mass else minv(y))
+        inv_eps2 = 1.0 / sys.epsilon ** 2
+        grad_stiff = sys.grad_stiff
+        grad_slow = sys.grad_slow
         if include_slow:
-            force = -(grad_slow(x) + inv_eps2 * grad_stiff(x))
+            def force(z):
+                return -(grad_slow(z) + inv_eps2 * grad_stiff(z))
         else:
-            force = (-inv_eps2) * grad_stiff(x)
-        y = y + half * force
+            def force(z):
+                return (-inv_eps2) * grad_stiff(z)
+        x, y = leapfrog(force, x, y, h_micro, nsteps, minv)
     return State(x, y, state.t + nsteps * h_micro)
 
 

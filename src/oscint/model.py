@@ -53,7 +53,8 @@ class OscillatorySystem:
 
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
-    constraint_jacobian.  All evaluators must be pure.
+    constraint_jacobian.  All evaluators must be pure.  stiff_flow has a
+    generic default; a model may override it with a faster kernel.
     """
 
     n: int
@@ -84,6 +85,31 @@ class OscillatorySystem:
 
     def constraint_jacobian(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def stiff_flow(self, x, y, h_micro, nsteps):
+        """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 (identity
+        mass) over nsteps micro steps of h_micro; returns the new (x, y).
+
+        An override must reproduce this loop bit for bit and raise
+        DomainError at every step where grad_stiff would.
+        """
+        scale = -(1.0 / self.epsilon ** 2)
+        grad_stiff = self.grad_stiff
+        return leapfrog(lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps)
+
+
+def leapfrog(force, x, y, h_micro, nsteps, velocity=None):
+    """Kick-drift-kick leapfrog of xdot = velocity(y) (y itself when
+    velocity is None), ydot = force(x) over nsteps equal micro steps;
+    returns (x, y).  One force evaluation per step."""
+    half = 0.5 * h_micro
+    f = force(x)
+    for _ in range(nsteps):
+        y = y + half * f
+        x = x + h_micro * (y if velocity is None else velocity(y))
+        f = force(x)
+        y = y + half * f
+    return x, y
 
 
 _MIN_SPRING_LENGTH = 1e-8
@@ -187,6 +213,42 @@ class StiffSpringDoublePendulum(OscillatorySystem):
         jac[1, 2] = d0 / r2
         jac[1, 3] = d1 / r2
         return jac
+
+    def stiff_flow(self, x, y, h_micro, nsteps):
+        """The generic leapfrog unrolled on floats; same operations, same
+        order, so the result is bit-identical.  The force and the collapse
+        check repeat grad_stiff and _lengths: change them together."""
+        a1, a2 = self.alpha1 ** 2, self.alpha2 ** 2
+        l1, l2 = self.l1, self.l2
+        scale = -(1.0 / self.epsilon ** 2)
+        half = 0.5 * h_micro
+        hypot = math.hypot
+        x0, x1, x2, x3 = x.tolist()
+        y0, y1, y2, y3 = y.tolist()
+        # step i closes micro step i (second half kick) and opens step
+        # i + 1 (first half kick, drift): one force evaluation per step
+        for i in range(nsteps + 1):
+            r1 = hypot(x0, x1)
+            d0 = x2 - x0
+            d1 = x3 - x1
+            r2 = hypot(d0, d1)
+            if r1 < _MIN_SPRING_LENGTH or r2 < _MIN_SPRING_LENGTH:
+                raise DomainError(f"spring length collapsed: |x1|={r1:.3e}, |x2-x1|={r2:.3e}")
+            c1 = a1 * (r1 - l1) / r1
+            c2 = a2 * (r2 - l2) / r2
+            k0 = half * (scale * (c1 * x0 - c2 * d0))
+            k1 = half * (scale * (c1 * x1 - c2 * d1))
+            k2 = half * (scale * (c2 * d0))
+            k3 = half * (scale * (c2 * d1))
+            if i:
+                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
+            if i < nsteps:
+                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
+                x0 = x0 + h_micro * y0
+                x1 = x1 + h_micro * y1
+                x2 = x2 + h_micro * y2
+                x3 = x3 + h_micro * y3
+        return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
 
 
 @dataclass

@@ -1,10 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from oscint import benchmark_initial_state, make_double_pendulum
-from oscint.model import State
+
+# near-manifold states with springs stretched by O(elongation*eps); the
+# draws depend only on the seed, so rebuilding the system at another
+# epsilon reuses the same geometry: the setup for epsilon-halving checks
+from oscint.harness import random_bounded_energy_states as sample_states  # noqa: F401
 
 
 @pytest.fixture
@@ -15,39 +17,6 @@ def pendulum():
 @pytest.fixture
 def bench_state(pendulum):
     return benchmark_initial_state(pendulum.epsilon)
-
-
-def sample_states(sys, count, seed, elongation=1.0, momentum=1.0):
-    """Near-manifold states with springs stretched by O(elongation*eps).
-
-    Angle and stretch draws depend only on the seed, so rebuilding the
-    system at a different epsilon reuses the same geometry with the
-    elongations rescaled: the right setup for epsilon-halving checks.
-    """
-    rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(count):
-        angles = rng.uniform(-math.pi, math.pi, sys.m)
-        stretch = rng.uniform(-1.0, 1.0, sys.m)
-        x = np.empty(sys.n)
-        px, py = 0.0, 0.0
-        for k in range(sys.m):
-            rest = _rest_length(sys, k)
-            r = rest + elongation * sys.epsilon * stretch[k]
-            px += r * math.sin(angles[k])
-            py += -r * math.cos(angles[k])
-            x[2 * k] = px
-            x[2 * k + 1] = py
-        y = momentum * rng.uniform(-1.0, 1.0, sys.n)
-        states.append(State(x, y, 0.0))
-    return states
-
-
-def _rest_length(sys, k):
-    lengths = getattr(sys, "lengths", None)
-    if lengths is not None:
-        return lengths[k]
-    return sys.l1 if k == 0 else sys.l2
 
 
 def random_spd(rng, n):

@@ -216,8 +216,10 @@ class TestActionStudy:
 
 class TestPerformanceGuard:
     def test_wall_time_scales_with_micro_work(self, tmp_path):
-        # doubling t_end doubles the micro-step count; wall time should
-        # track it within the +-30% regression band
+        # doubling t_end doubles the micro-step count; run time should
+        # track it within the +-30% regression band.  Process CPU time,
+        # best of three with the horizons interleaved, keeps other load and
+        # drifts in machine speed out of the ratio.
         import time
 
         def timed_sweep(t_end):
@@ -225,13 +227,15 @@ class TestPerformanceGuard:
                 tmp_path, methods=["projected"], stepsizes=[0.1],
                 t_end=t_end, h_ref=5e-3, epsilon=2e-3,
             )
-            start = time.perf_counter()
+            start = time.process_time()
             harness.run_convergence_sweep(cfg)
-            return time.perf_counter() - start
+            return time.process_time() - start
 
         timed_sweep(0.4)  # warm caches
-        short = timed_sweep(1.0)
-        long = timed_sweep(2.0)
+        short = long = math.inf
+        for _ in range(3):
+            short = min(short, timed_sweep(1.0))
+            long = min(long, timed_sweep(2.0))
         assert 2.0 * 0.7 <= long / short <= 2.0 * 1.3
 
 

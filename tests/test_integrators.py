@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscint import (
+    DomainError,
     fast_flow,
     hamiltonian,
     impulse_step,
@@ -19,6 +20,7 @@ from oscint.integrators import (
     StabilityViolation,
     step_function,
 )
+from oscint.harness import random_bounded_energy_states
 from oscint.model import OscillatorySystem, State
 
 
@@ -144,6 +146,110 @@ class TestFastFlow:
         direct = stormer_verlet(pendulum, bench_state, h, 1, include_slow=False)
         assert np.array_equal(out.x, direct.x)
         assert np.array_equal(out.y, direct.y)
+
+
+def inline_leapfrog(sys, state, h_micro, nsteps, include_slow):
+    """The micro leapfrog written out with numpy arrays, identity mass."""
+    inv_eps2 = 1.0 / sys.epsilon ** 2
+
+    def force(x):
+        if include_slow:
+            return -(sys.grad_slow(x) + inv_eps2 * sys.grad_stiff(x))
+        return (-inv_eps2) * sys.grad_stiff(x)
+
+    x, y = state.x.copy(), state.y.copy()
+    f = force(x)
+    for _ in range(nsteps):
+        y = y + 0.5 * h_micro * f
+        x = x + h_micro * y
+        f = force(x)
+        y = y + 0.5 * h_micro * f
+    return x, y
+
+
+def kernel_systems():
+    """Double pendulums with default and with uneven parameters."""
+    return [make_double_pendulum(1e-3), make_double_pendulum(1e-3, 1.3, 0.7, 1.1, 0.9)]
+
+
+class TestStiffFlowKernels:
+    @pytest.mark.parametrize("nsteps", [1, 7, 391])
+    def test_kernels_match_generic_loop_bitwise(self, nsteps):
+        for sys in kernel_systems():
+            assert type(sys).stiff_flow is not OscillatorySystem.stiff_flow
+            h_micro = sys.epsilon / 100
+            for state in random_bounded_energy_states(sys, 4, seed=500):
+                got = sys.stiff_flow(state.x, state.y, h_micro, nsteps)
+                want = OscillatorySystem.stiff_flow(sys, state.x, state.y, h_micro, nsteps)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_generic_loop_is_the_inline_leapfrog(self):
+        for sys in kernel_systems():
+            for state in random_bounded_energy_states(sys, 2, seed=510):
+                got = OscillatorySystem.stiff_flow(sys, state.x, state.y, 1e-5, 50)
+                want = inline_leapfrog(sys, state, 1e-5, 50, include_slow=False)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_inputs_not_modified(self):
+        for sys in kernel_systems():
+            state = random_bounded_energy_states(sys, 1, seed=511)[0]
+            before = state.copy()
+            sys.stiff_flow(state.x, state.y, 1e-5, 10)
+            assert np.array_equal(state.x, before.x)
+            assert np.array_equal(state.y, before.y)
+
+    def test_collapse_raises_inside_kernel(self):
+        # bob 1 moves straight at the anchor and lands on it after the
+        # first drift; the start state itself is admissible
+        eps, h_micro, d = 0.5, 1e-3, 1e-3
+        sys = make_double_pendulum(eps)
+        x0 = np.array([0.0, -d, 0.0, -1.0 - d])
+        kick = 0.5 * h_micro * (-(1.0 / eps ** 2)) * sys.grad_stiff(x0)
+        y0 = np.array([0.0, d / h_micro - kick[1], 0.0, 0.0])
+        with pytest.raises(DomainError, match="collapsed"):
+            sys.stiff_flow(x0, y0, h_micro, 3)
+        with pytest.raises(DomainError, match="collapsed"):
+            OscillatorySystem.stiff_flow(sys, x0, y0, h_micro, 3)
+        with pytest.raises(DomainError, match="collapsed"):
+            stormer_verlet(sys, State(x0, y0), h_micro, 3, include_slow=False)
+
+    def test_fast_flow_enters_through_stiff_flow(self, pendulum, bench_state):
+        calls = []
+        kernel = pendulum.stiff_flow
+
+        def spy(*args):
+            calls.append(args[3])
+            return kernel(*args)
+
+        pendulum.stiff_flow = spy  # type: ignore
+        fast_flow(pendulum, bench_state, 0.05, 100)
+        assert calls == [500]
+
+    def test_slow_force_path_keeps_generic_loop(self, pendulum, bench_state):
+        def refuse(*args):
+            raise AssertionError("include_slow=True must not use stiff_flow")
+
+        pendulum.stiff_flow = refuse  # type: ignore
+        out = stormer_verlet(pendulum, bench_state, 1e-4, 60)
+        want = inline_leapfrog(pendulum, bench_state, 1e-4, 60, include_slow=True)
+        assert np.array_equal(out.x, want[0])
+        assert np.array_equal(out.y, want[1])
+
+    @pytest.mark.parametrize("include_slow", [False, True])
+    def test_generic_systems_unchanged(self, include_slow):
+        grad = lambda x: np.array([2.0 * x[0], 1.0])
+        free = FreeSlowSystem(n=2, slow=lambda x: x[0] ** 2 + x[1], grad=grad)
+        for sys, state in (
+            (free, State(np.array([0.3, -0.2]), np.array([0.1, 0.4]))),
+            (harmonic_1d(), State(np.array([1.0]), np.array([0.25]))),
+        ):
+            assert type(sys).stiff_flow is OscillatorySystem.stiff_flow
+            out = stormer_verlet(sys, state, 0.01, 37, include_slow=include_slow)
+            want = inline_leapfrog(sys, state, 0.01, 37, include_slow)
+            assert np.array_equal(out.x, want[0])
+            assert np.array_equal(out.y, want[1])
 
 
 class TestMacroSteps:
