@@ -15,7 +15,6 @@ from .effective import (
     EffectiveState,
     FrequencySet,
     GapViolation,
-    MatchingAmbiguous,
     correction_force,
     effective_reference,
     frequencies,
@@ -53,7 +52,6 @@ from .model import (
     hamiltonian,
     make_double_pendulum,
     make_spring_chain,
-    rhs_full,
 )
 from .smallmat import (
     EigenPairs,

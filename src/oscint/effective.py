@@ -22,16 +22,11 @@ from .geometry import RankDeficient, consistent_state
 from .integrators import Trajectory
 from .model import OscillatorySystem, State, has_identity_mass
 
-DEFAULT_FD_STEP = 1e-5
 DEFAULT_GAP_FACTOR = 1e-6
 
 
 class GapViolation(Exception):
     """Pencil spectrum no longer splits into null and fast parts."""
-
-
-class MatchingAmbiguous(Exception):
-    """Nearest-value matching of frequency branches is not injective."""
 
 
 class FrequencySet(NamedTuple):
@@ -89,47 +84,27 @@ def frequencies(
     return FrequencySet(np.sqrt(fast), pairs.vectors[:, d:])
 
 
-def grad_frequencies(
-    sys: OscillatorySystem, x, fd_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def grad_frequencies(sys: OscillatorySystem, x) -> np.ndarray:
     """Row k holds the ambient-coordinate gradient of omega_k.
 
-    Central differences of the frequency map.  Perturbed configurations
-    sit O(fd_step) off the manifold, which inflates the null eigenvalues
-    of the pencil by the same order, so the gap check is relaxed
-    accordingly.  Frequency branches between the two one-sided
-    evaluations are identified by nearest-value matching; an ambiguous
-    matching aborts rather than mislabel branches.
+    Exact by first-order perturbation of the pencil (constant mass,
+    mass-orthonormal v_k, simple omega_k^2 guaranteed by the gap check):
+    d omega_k / dx_j = v_k^T (d_j hess_stiff) v_k / (2 omega_k).
     """
     x = np.asarray(x, dtype=float)
-    m = sys.m
-    n = sys.n
-    gap_factor = max(DEFAULT_GAP_FACTOR, 1e2 * fd_step)
-    grad = np.empty((m, n))
-    for j in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += fd_step
-        xm[j] -= fd_step
-        om_p = frequencies(sys, xp, gap_factor).omegas
-        om_m = frequencies(sys, xm, gap_factor).omegas
-        match = [int(np.argmin(np.abs(om_m - w))) for w in om_p]
-        if len(set(match)) != m:
-            raise MatchingAmbiguous(
-                f"frequency branches not separable along coordinate {j}"
-            )
-        grad[:, j] = (om_p - om_m[match]) / (2.0 * fd_step)
+    fset = frequencies(sys, x)
+    grad = np.empty((sys.m, sys.n))
+    for k, omega in enumerate(fset.omegas):
+        grad[k] = sys.hess_stiff_contract(x, fset.vectors[:, k]) / (2.0 * omega)
     return grad
 
 
-def correction_force(
-    sys: OscillatorySystem, x, actions, fd_step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
     """Force -sum_k I_k grad omega_k(x) exerted by the fast modes."""
     actions = np.asarray(actions, dtype=float)
     if sys.m == 0 or not np.any(actions):
         return np.zeros(sys.n)
-    return -(grad_frequencies(sys, x, fd_step).T @ actions)
+    return -(grad_frequencies(sys, x).T @ actions)
 
 
 def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
@@ -142,11 +117,11 @@ def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
     return kinetic + sys.slow_potential(es.x) + float(es.actions @ om)
 
 
-def _applied_force(sys, x, actions, fd_step):
-    return -sys.grad_slow(x) + correction_force(sys, x, actions, fd_step)
+def _applied_force(sys, x, actions):
+    return -sys.grad_slow(x) + correction_force(sys, x, actions)
 
 
-def _rattle_step_cached(sys, es, h, force0, fd_step):
+def _rattle_step_cached(sys, es, h, force0):
     """One constrained leapfrog step; returns (next state, end force).
 
     Stage 1 solves the position constraint for the half-step multiplier
@@ -165,7 +140,7 @@ def _rattle_step_cached(sys, es, h, force0, fd_step):
         return v if identity_mass else smallmat.solve_spd(mass, v)
 
     if force0 is None:
-        force0 = _applied_force(sys, x0, es.actions, fd_step)
+        force0 = _applied_force(sys, x0, es.actions)
 
     def position_of(lam):
         y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
@@ -182,7 +157,7 @@ def _rattle_step_cached(sys, es, h, force0, fd_step):
     y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
     x1 = x0 + h * minv(y_half)
 
-    force1 = _applied_force(sys, x1, es.actions, fd_step)
+    force1 = _applied_force(sys, x1, es.actions)
     jac1 = sys.constraint_jacobian(x1)
     y_free = y_half + 0.5 * h * force1
     gram = jac1 @ minv(jac1.T)
@@ -195,12 +170,9 @@ def _rattle_step_cached(sys, es, h, force0, fd_step):
     return nxt, force1
 
 
-def rattle_step(
-    sys: OscillatorySystem, es: EffectiveState, h: float,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> EffectiveState:
+def rattle_step(sys: OscillatorySystem, es: EffectiveState, h: float) -> EffectiveState:
     """One step of the constrained leapfrog on the effective system."""
-    nxt, _ = _rattle_step_cached(sys, es, h, None, fd_step)
+    nxt, _ = _rattle_step_cached(sys, es, h, None)
     return nxt
 
 
@@ -225,7 +197,6 @@ def effective_reference(
     t_end: float,
     stride: int = 1,
     actions: Optional[np.ndarray] = None,
-    fd_step: float = DEFAULT_FD_STEP,
     with_records: bool = True,
 ) -> Trajectory:
     """Reference trajectory of the constrained effective dynamics.
@@ -262,7 +233,7 @@ def effective_reference(
     traj.samples.append((State(es.x.copy(), es.y.copy(), es.t), record(es)))
     force = None
     for k in range(1, nsteps + 1):
-        es, force = _rattle_step_cached(sys, es, h_ref, force, fd_step)
+        es, force = _rattle_step_cached(sys, es, h_ref, force)
         es.t = k * h_ref
         if k % stride == 0 or k == nsteps:
             traj.samples.append((State(es.x.copy(), es.y.copy(), es.t), record(es)))

@@ -41,6 +41,9 @@ class State:
         return State(self.x.copy(), self.y.copy(), self.t)
 
 
+HESS_FD_STEP = 1e-5  # step of the default hess_stiff_contract
+
+
 class OscillatorySystem:
     """Contract every integrator and diagnostic consumes.
 
@@ -53,8 +56,9 @@ class OscillatorySystem:
 
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
-    constraint_jacobian.  All evaluators must be pure.  stiff_flow has a
-    generic default; a model may override it with a faster kernel.
+    constraint_jacobian.  All evaluators must be pure.  stiff_flow and
+    hess_stiff_contract have generic defaults; a model may override them
+    with faster or exact versions.
     """
 
     n: int
@@ -86,6 +90,25 @@ class OscillatorySystem:
     def constraint_jacobian(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def hess_stiff_contract(self, x, v) -> np.ndarray:
+        """Gradient over x of v^T hess_stiff(x) v for a fixed vector v.
+
+        Default: central differences of hess_stiff with step
+        HESS_FD_STEP, 2n Hessian evaluations.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        g = np.empty(self.n)
+        for j in range(self.n):
+            xp = x.copy()
+            xm = x.copy()
+            xp[j] += HESS_FD_STEP
+            xm[j] -= HESS_FD_STEP
+            g[j] = (v @ self.hess_stiff(xp) @ v - v @ self.hess_stiff(xm) @ v) / (
+                2.0 * HESS_FD_STEP
+            )
+        return g
+
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 (identity
         mass) over nsteps micro steps of h_micro; returns the new (x, y).
@@ -113,6 +136,19 @@ def leapfrog(force, x, y, h_micro, nsteps, velocity=None):
 
 
 _MIN_SPRING_LENGTH = 1e-8
+
+
+def _spring_contract(a2, length, d0, d1, r, w0, w1):
+    """Gradient over the segment d = (d0, d1), |d| = r, of w^T B(d) w,
+    B the Hessian of 1/2 a2 (|d| - length)^2 and w a fixed relative
+    displacement: a2 length / r^2 ((|w|^2 - 3 s^2) u + 2 s w), with
+    u = d / r and s = u . w."""
+    u0 = d0 / r
+    u1 = d1 / r
+    s = u0 * w0 + u1 * w1
+    c = a2 * length / (r * r)
+    t = w0 * w0 + w1 * w1 - 3.0 * s * s
+    return c * (t * u0 + 2.0 * s * w0), c * (t * u1 + 2.0 * s * w1)
 
 
 @dataclass
@@ -198,6 +234,14 @@ class StiffSpringDoublePendulum(OscillatorySystem):
         h[2:, :2] = -b2
         h[2:, 2:] = b2
         return h
+
+    def hess_stiff_contract(self, x, v):
+        r1, d0, d1, r2 = self._lengths(x)
+        p0, p1 = _spring_contract(self.alpha1 ** 2, self.l1, x[0], x[1], r1, v[0], v[1])
+        q0, q1 = _spring_contract(
+            self.alpha2 ** 2, self.l2, d0, d1, r2, v[2] - v[0], v[3] - v[1]
+        )
+        return np.array([p0 - q0, p1 - q1, q0, q1])
 
     def constraint(self, x):
         r1, _, _, r2 = self._lengths(x)
@@ -352,6 +396,22 @@ class StiffSpringChain(OscillatorySystem):
                 h[i:i + 2, j:j + 2] -= blk
         return h
 
+    def hess_stiff_contract(self, x, v):
+        segs = self._segments(x)
+        g = np.zeros(self.n)
+        for k, (d0, d1, r) in enumerate(segs):
+            i = 2 * k
+            w0, w1 = v[i], v[i + 1]
+            if k > 0:
+                w0, w1 = w0 - v[i - 2], w1 - v[i - 1]
+            t0, t1 = _spring_contract(self.alphas[k] ** 2, self.lengths[k], d0, d1, r, w0, w1)
+            g[i] += t0
+            g[i + 1] += t1
+            if k > 0:
+                g[i - 2] -= t0
+                g[i - 1] -= t1
+        return g
+
     def constraint(self, x):
         segs = self._segments(x)
         return np.array([segs[k][2] - self.lengths[k] for k in range(self.m)])
@@ -419,25 +479,6 @@ def hamiltonian(sys: OscillatorySystem, state: State) -> float:
         + sys.slow_potential(state.x)
         + sys.stiff_potential(state.x) / sys.epsilon ** 2
     )
-
-
-def rhs_full(sys: OscillatorySystem, state: State):
-    """Right-hand side (xdot, ydot) of the full equations of motion.
-
-    Requires a constant mass matrix: the kinetic-energy gradient term
-    that appears for position-dependent M(x) is not available from the
-    evaluator contract.
-    """
-    if not sys.mass_is_constant:
-        raise NotImplementedError(
-            "rhs_full supports constant mass matrices only"
-        )
-    if has_identity_mass(sys, state.x):
-        xdot = state.y.copy()
-    else:
-        xdot = smallmat.solve_spd(sys.mass_matrix(state.x), state.y)
-    ydot = -sys.grad_slow(state.x) - sys.grad_stiff(state.x) / sys.epsilon ** 2
-    return xdot, ydot
 
 
 def _is_identity(mass: np.ndarray) -> bool:

@@ -22,7 +22,7 @@ from oscint.effective import (
     effective_reference,
 )
 
-from conftest import sample_states
+from conftest import fd_grad_frequencies, sample_states
 
 
 def on_manifold_config():
@@ -66,9 +66,9 @@ class TestGradFrequencies:
     def test_richardson_second_order(self, pendulum):
         # generic configuration, frequencies vary with the bend angle
         x = _bent_config(0.3, 1.2)
-        g1 = grad_frequencies(pendulum, x, fd_step=2e-4)
-        g2 = grad_frequencies(pendulum, x, fd_step=1e-4)
-        g3 = grad_frequencies(pendulum, x, fd_step=5e-5)
+        g1 = fd_grad_frequencies(pendulum, x, fd_step=2e-4)
+        g2 = fd_grad_frequencies(pendulum, x, fd_step=1e-4)
+        g3 = fd_grad_frequencies(pendulum, x, fd_step=5e-5)
         num = np.max(np.abs(g1 - g2))
         den = np.max(np.abs(g2 - g3))
         assert 3.0 <= num / den <= 5.0
@@ -82,11 +82,37 @@ class TestGradFrequencies:
         grad = grad_frequencies(sys, x)
         assert abs(float(grad[0] @ tangent)) <= 1e-8
 
+    def test_matches_finite_difference_oracle(self):
+        # bent on-manifold configurations, uneven parameters
+        pendulum = make_double_pendulum(1e-2, 1.3, 0.7, 1.1, 0.9)
+        x = _chain_config((0.3, 1.2), (1.1, 0.9))
+        got = grad_frequencies(pendulum, x)
+        assert np.max(np.abs(got - fd_grad_frequencies(pendulum, x, 1e-5))) <= 1e-7
+        rng = np.random.default_rng(307)
+        for n_springs in range(1, 9):
+            alphas = rng.uniform(0.5, 2.0, n_springs)
+            lengths = rng.uniform(0.5, 1.5, n_springs)
+            chain = make_spring_chain(n_springs, 1e-2, alphas, lengths)
+            x = _chain_config(rng.uniform(-1.5, 1.5, n_springs), lengths)
+            assert np.max(np.abs(chain.constraint(x))) <= 1e-14
+            got = grad_frequencies(chain, x)
+            assert np.max(np.abs(got - fd_grad_frequencies(chain, x, 1e-5))) <= 1e-7
+
 
 def _bent_config(theta1, theta2):
     x1 = np.array([math.sin(theta1), -math.cos(theta1)])
     x2 = x1 + np.array([math.sin(theta2), -math.cos(theta2)])
     return np.concatenate([x1, x2])
+
+
+def _chain_config(angles, lengths):
+    """Chain bobs at the given bend angles, every spring at rest length."""
+    bobs = []
+    pos = np.zeros(2)
+    for theta, length in zip(angles, lengths):
+        pos = pos + length * np.array([math.sin(theta), -math.cos(theta)])
+        bobs.append(pos)
+    return np.concatenate(bobs)
 
 
 class TestCorrectionForce:

@@ -113,6 +113,20 @@ class TestStormerVerlet:
         with pytest.raises(StabilityViolation):
             stormer_verlet(pendulum, bench_state, 2.0 * pendulum.epsilon, 1)
 
+    def test_stability_shortcut_adds_no_false_positive(self, pendulum, bench_state):
+        # a step the row-sum bound cannot clear but the exact spectrum can
+        hess = pendulum.hess_stiff(bench_state.x)
+        bound = float(np.max(np.sum(np.abs(hess), axis=1)))
+        lam_max = float(np.linalg.eigvalsh(hess)[-1])
+        eps = pendulum.epsilon
+        gershgorin_limit = 2.0 * eps / math.sqrt(bound)
+        exact_limit = 2.0 * eps / math.sqrt(lam_max)
+        assert gershgorin_limit < 0.99 * exact_limit
+        h = 0.5 * (gershgorin_limit + exact_limit)
+        stormer_verlet(pendulum, bench_state, h, 1)
+        with pytest.raises(StabilityViolation):
+            stormer_verlet(pendulum, bench_state, 1.01 * exact_limit, 1)
+
     def test_rejects_position_dependent_mass(self, pendulum, bench_state):
         pendulum_var = make_double_pendulum(1e-2)
         pendulum_var.mass_is_constant = False
