@@ -5,6 +5,7 @@ used by the convergence experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -75,6 +76,26 @@ def compute_actions(sys: OscillatorySystem, x, y) -> np.ndarray:
     return _mode_split(sys, x, y)[2]
 
 
+@functools.lru_cache(maxsize=None)
+def _combination_patterns(m):
+    """(j, k, l, s2, s3) of every combination omega_j + s2 omega_k +
+    s3 omega_l over m frequencies, in scan order, without those that
+    cancel identically by index/sign symmetry."""
+    patterns = []
+    for j in range(m):
+        for k in range(m):
+            for l in range(m):
+                for s2 in (1, -1):
+                    for s3 in (1, -1):
+                        coeff = [0] * m
+                        coeff[j] += 1
+                        coeff[k] += s2
+                        coeff[l] += s3
+                        if any(coeff):
+                            patterns.append((j, k, l, s2, s3))
+    return tuple(patterns)
+
+
 def resonance_monitor(omegas):
     """(min pairwise gap, min three-frequency combination).
 
@@ -92,19 +113,9 @@ def resonance_monitor(omegas):
         for k in range(j + 1, m):
             min_gap = min(min_gap, abs(om[j] - om[k]))
     min_combo = math.inf
-    for j in range(m):
-        for k in range(m):
-            for l in range(m):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        coeff = [0] * m
-                        coeff[j] += 1
-                        coeff[k] += s2
-                        coeff[l] += s3
-                        if not any(coeff):
-                            continue  # structural zero by index/sign symmetry
-                        value = om[j] + s2 * om[k] + s3 * om[l]
-                        min_combo = min(min_combo, abs(value))
+    for j, k, l, s2, s3 in _combination_patterns(m):
+        value = om[j] + s2 * om[k] + s3 * om[l]
+        min_combo = min(min_combo, abs(value))
     return min_gap, min_combo
 
 

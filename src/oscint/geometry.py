@@ -96,7 +96,7 @@ def project_to_manifold(
     minv_gt = _mass_inverse_apply(sys, x, base_jac_t)
     # fail fast on rank loss before iterating
     try:
-        smallmat.cholesky(sys.constraint_jacobian(x) @ minv_gt)
+        smallmat.cholesky(base_jac_t.T @ minv_gt)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"constraint Jacobian rank-deficient at x: {exc}") from exc
 

@@ -189,19 +189,27 @@ _KICK_FORCES = {
 }
 
 
-def _splitting_step(sys, state, method, kick_force):
+def _splitting_step(sys, state, method, kick_force, f_start=None):
+    """One kick-oscillate-kick step; returns (State, f_end).
+
+    f_start is the kick force at state.x when the caller already has it.
+    A kick changes only the momenta, so the closing force f_end is the
+    next step's opening force (first same as last).
+    """
     half = 0.5 * method.h
-    y = state.y - half * kick_force(sys, state.x)
+    if f_start is None:
+        f_start = kick_force(sys, state.x)
+    y = state.y - half * f_start
     mid = fast_flow(sys, State(state.x, y, state.t), method.h, method.micro_divisor)
-    y_end = mid.y - half * kick_force(sys, mid.x)
-    return State(mid.x, y_end, mid.t)
+    f_end = kick_force(sys, mid.x)
+    return State(mid.x, mid.y - half * f_end, mid.t), f_end
 
 
 def impulse_step(sys: OscillatorySystem, state: State, method: MacroMethod) -> State:
     """Plain splitting step: slow kick, fast flow, slow kick."""
     if method.kind != "impulse":
         raise ValueError(f"method kind is {method.kind!r}, not 'impulse'")
-    return _splitting_step(sys, state, method, _kick_force_impulse)
+    return _splitting_step(sys, state, method, _kick_force_impulse)[0]
 
 
 def mollified_impulse_step(
@@ -211,7 +219,7 @@ def mollified_impulse_step(
     the manifold projection of the position."""
     if method.kind != "mollified":
         raise ValueError(f"method kind is {method.kind!r}, not 'mollified'")
-    return _splitting_step(sys, state, method, _kick_force_mollified)
+    return _splitting_step(sys, state, method, _kick_force_mollified)[0]
 
 
 def projected_impulse_step(
@@ -221,7 +229,7 @@ def projected_impulse_step(
     constraint-tangential momentum directions."""
     if method.kind != "projected":
         raise ValueError(f"method kind is {method.kind!r}, not 'projected'")
-    return _splitting_step(sys, state, method, _kick_force_projected)
+    return _splitting_step(sys, state, method, _kick_force_projected)[0]
 
 
 def step_function(kind: str) -> Callable:
@@ -243,22 +251,26 @@ def integrate(
     """Run the selected macro method from state0 up to t_end.
 
     Samples every `stride`-th macro step (plus the initial and final
-    states).  A failing step aborts with an IntegrationError carrying
-    the partial trajectory and the failure time.
+    states).  Each step reuses the previous step's closing kick force,
+    so a run evaluates the kick force nsteps + 1 times; the states are
+    those of the step functions applied in turn.  A failing step aborts
+    with an IntegrationError carrying the partial trajectory and the
+    failure time.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    step = step_function(method.kind)
+    kick_force = _KICK_FORCES[method.kind]
     nsteps = 0 if t_end < method.h else int(math.floor(t_end / method.h + 0.5))
     traj = Trajectory(stride=stride)
     state = State(state0.x.copy(), state0.y.copy(), state0.t)
     traj.samples.append((state, observer(sys, state) if observer else None))
     t0 = state0.t
+    force = None
     for k in range(1, nsteps + 1):
         try:
-            state = step(sys, state, method)
+            state, force = _splitting_step(sys, state, method, kick_force, force)
         except Exception as exc:
             raise IntegrationError(
                 f"{method.kind} step failed at t={state.t:.6g}: {exc}",

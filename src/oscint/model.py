@@ -138,6 +138,22 @@ def leapfrog(force, x, y, h_micro, nsteps, velocity=None):
 _MIN_SPRING_LENGTH = 1e-8
 
 
+def _spring_block(a2, length, d0, d1, r):
+    """Entries (b00, b01, b11) of the Hessian block of one spring,
+    a2 (u u^T + (r - length)/r (I - u u^T)) with u = (d0, d1) / r."""
+    u0 = d0 / r
+    u1 = d1 / r
+    c = (r - length) / r
+    u00 = u0 * u0
+    u01 = u0 * u1
+    u11 = u1 * u1
+    return (
+        a2 * (u00 + c * (1.0 - u00)),
+        a2 * (u01 - c * u01),
+        a2 * (u11 + c * (1.0 - u11)),
+    )
+
+
 def _spring_contract(a2, length, d0, d1, r, w0, w1):
     """Gradient over the segment d = (d0, d1), |d| = r, of w^T B(d) w,
     B the Hessian of 1/2 a2 (|d| - length)^2 and w a fixed relative
@@ -219,21 +235,14 @@ class StiffSpringDoublePendulum(OscillatorySystem):
 
     def hess_stiff(self, x):
         r1, d0, d1, r2 = self._lengths(x)
-        u1 = np.array([x[0], x[1]]) / r1
-        u2 = np.array([d0, d1]) / r2
-        # per-spring blocks a^2 (u u^T + (r - l)/r (I - u u^T))
-        b1 = self.alpha1 ** 2 * (
-            np.outer(u1, u1) + (r1 - self.l1) / r1 * (np.eye(2) - np.outer(u1, u1))
-        )
-        b2 = self.alpha2 ** 2 * (
-            np.outer(u2, u2) + (r2 - self.l2) / r2 * (np.eye(2) - np.outer(u2, u2))
-        )
-        h = np.zeros((4, 4))
-        h[:2, :2] = b1 + b2
-        h[:2, 2:] = -b2
-        h[2:, :2] = -b2
-        h[2:, 2:] = b2
-        return h
+        p00, p01, p11 = _spring_block(self.alpha1 ** 2, self.l1, x[0], x[1], r1)
+        q00, q01, q11 = _spring_block(self.alpha2 ** 2, self.l2, d0, d1, r2)
+        return np.array([
+            [p00 + q00, p01 + q01, -q00, -q01],
+            [p01 + q01, p11 + q11, -q01, -q11],
+            [-q00, -q01, q00, q01],
+            [-q01, -q11, q01, q11],
+        ])
 
     def hess_stiff_contract(self, x, v):
         r1, d0, d1, r2 = self._lengths(x)
@@ -380,21 +389,21 @@ class StiffSpringChain(OscillatorySystem):
 
     def hess_stiff(self, x):
         segs = self._segments(x)
-        h = np.zeros((self.n, self.n))
+        h = [[0.0] * self.n for _ in range(self.n)]
         for k, (d0, d1, r) in enumerate(segs):
-            u = np.array([d0, d1]) / r
-            blk = self.alphas[k] ** 2 * (
-                np.outer(u, u)
-                + (r - self.lengths[k]) / r * (np.eye(2) - np.outer(u, u))
-            )
+            b00, b01, b11 = _spring_block(self.alphas[k] ** 2, self.lengths[k], d0, d1, r)
+            blk = ((b00, b01), (b01, b11))
             i = 2 * k
-            h[i:i + 2, i:i + 2] += blk
-            if k > 0:
-                j = 2 * (k - 1)
-                h[j:j + 2, j:j + 2] += blk
-                h[j:j + 2, i:i + 2] -= blk
-                h[i:i + 2, j:j + 2] -= blk
-        return h
+            j = i - 2
+            for a in range(2):
+                for b in range(2):
+                    v = blk[a][b]
+                    h[i + a][i + b] += v
+                    if k > 0:
+                        h[j + a][j + b] += v
+                        h[j + a][i + b] -= v
+                        h[i + a][j + b] -= v
+        return np.array(h)
 
     def hess_stiff_contract(self, x, v):
         segs = self._segments(x)

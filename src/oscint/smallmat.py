@@ -3,7 +3,9 @@
 Everything here is self-contained (no LAPACK): Cholesky factorization,
 SPD and general solves, a cyclic-Jacobi symmetric eigensolver, the
 generalized symmetric eigensolver obtained by Cholesky reduction, and a
-damped Newton iteration.  Intended for matrices of order <= ~64.
+damped Newton iteration.  Intended for matrices of order <= ~64.  The
+kernels run scalar loops on nested lists: at these orders numpy's
+per-call overhead costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -43,6 +45,36 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
+def _columns(b):
+    """b as nested row lists of a matrix, with the shape to restore:
+    a vector becomes a one-column matrix."""
+    b = np.asarray(b, dtype=float)
+    return (b[:, None] if b.ndim == 1 else b).tolist(), b.shape
+
+
+def _max(values):
+    """max(values), nan when any value is nan, as numpy's max."""
+    top = max(values)
+    return math.nan if any(v != v for v in values) else top
+
+
+def _dot(u, v):
+    """Sum of u[i] * v[i], accumulated from 0.0 in index order."""
+    acc = 0.0
+    for ui, vi in zip(u, v):
+        acc += ui * vi
+    return acc
+
+
+def _substitute(xi, coeffs, rows, pivot):
+    """Row (xi - sum_j coeffs[j] rows[j]) / pivot of a triangular solve,
+    each column's sum accumulated from 0.0 in order of j."""
+    acc = [0.0] * len(xi)
+    for cj, row in zip(coeffs, rows):
+        acc = [s + cj * v for s, v in zip(acc, row)]
+    return [(v - s) / pivot for v, s in zip(xi, acc)]
+
+
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A.
 
@@ -53,44 +85,45 @@ def cholesky(a) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("cholesky expects a square matrix")
-    lower = np.zeros((n, n))
     if n == 0:
-        return lower
-    tol = 1e-14 * max(np.max(np.diag(a)), 0.0)
+        return np.zeros((0, 0))
+    rows = a.tolist()
+    tol = 1e-14 * max(_max([rows[i][i] for i in range(n)]), 0.0)
+    lower = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        li = lower[i]
         for j in range(i + 1):
-            acc = a[i, j] - lower[i, :j] @ lower[j, :j]
+            lj = lower[j]
+            acc = rows[i][j] - _dot(li[:j], lj[:j])
             if i == j:
                 if not acc > tol:
                     raise NotPositiveDefinite(
                         f"pivot {acc:.3e} at index {i} (tolerance {tol:.3e})"
                     )
-                lower[i, i] = math.sqrt(acc)
+                li[i] = math.sqrt(acc)
             else:
-                lower[i, j] = acc / lower[j, j]
-    return lower
+                li[j] = acc / lj[j]
+    return np.array(lower)
 
 
 def solve_lower(lower, b):
     """Solve L x = b for lower-triangular L; b may be a vector or matrix."""
-    lower = np.asarray(lower, dtype=float)
-    x = np.array(b, dtype=float, copy=True)
-    n = lower.shape[0]
-    for i in range(n):
-        x[i] -= lower[i, :i] @ x[:i]
-        x[i] /= lower[i, i]
-    return x
+    low = np.asarray(lower, dtype=float).tolist()
+    x, shape = _columns(b)
+    for i, li in enumerate(low):
+        x[i] = _substitute(x[i], li[:i], x[:i], li[i])
+    return np.array(x).reshape(shape)
 
 
 def solve_lower_t(lower, b):
     """Solve L^T x = b for lower-triangular L."""
-    lower = np.asarray(lower, dtype=float)
-    x = np.array(b, dtype=float, copy=True)
-    n = lower.shape[0]
+    low = np.asarray(lower, dtype=float).tolist()
+    x, shape = _columns(b)
+    n = len(low)
     for i in range(n - 1, -1, -1):
-        x[i] -= lower[i + 1:, i] @ x[i + 1:]
-        x[i] /= lower[i, i]
-    return x
+        col = [low[j][i] for j in range(i + 1, n)]
+        x[i] = _substitute(x[i], col, x[i + 1:], low[i][i])
+    return np.array(x).reshape(shape)
 
 
 def solve_spd(a, b):
@@ -103,30 +136,40 @@ def solve_dense(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
     For the small, generally non-symmetric systems that appear inside
-    Newton iterations.  Raises SingularMatrix on pivot breakdown.
+    Newton iterations; b may be a vector or a matrix.  Raises
+    SingularMatrix on pivot breakdown.
     """
-    a = np.array(a, dtype=float, copy=True)
-    x = np.array(b, dtype=float, copy=True)
+    a = np.asarray(a, dtype=float)
+    x, shape = _columns(b)
     n = a.shape[0]
     if n == 0:
-        return x
-    scale = np.max(np.abs(a))
+        return np.array(b, dtype=float, copy=True)
+    a = a.tolist()
+    scale = _max([abs(v) for row in a for v in row])
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= 1e-300 + 1e-15 * scale:
-            raise SingularMatrix(f"pivot {a[p, k]:.3e} in column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
+        # the first row of largest magnitude
+        p = k
         for i in range(k + 1, n):
-            f = a[i, k] / a[k, k]
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        if abs(a[p][k]) <= 1e-300 + 1e-15 * scale:
+            raise SingularMatrix(f"pivot {a[p][k]:.3e} in column {k}")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            x[k], x[p] = x[p], x[k]
+        ak = a[k]
+        xk = x[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k] / ak[k]
             if f != 0.0:
-                a[i, k + 1:] -= f * a[k, k + 1:]
-                x[i] -= f * x[k]
+                for j in range(k + 1, n):
+                    ai[j] = ai[j] - f * ak[j]
+                x[i] = [v - f * w for v, w in zip(x[i], xk)]
     for i in range(n - 1, -1, -1):
-        x[i] -= a[i, i + 1:] @ x[i + 1:]
-        x[i] /= a[i, i]
-    return x
+        ai = a[i]
+        x[i] = _substitute(x[i], ai[i + 1:], x[i + 1:], ai[i])
+    return np.array(x).reshape(shape)
 
 
 def sym_eig(a) -> EigenPairs:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from oscint import benchmark_initial_state, frequencies, make_double_pendulum
+from oscint.smallmat import NotPositiveDefinite, SingularMatrix
 
 # near-manifold states with springs stretched by O(elongation*eps); the
 # draws depend only on the seed, so rebuilding the system at another
@@ -49,3 +52,113 @@ def fd_grad_frequencies(sys, x, fd_step):
         assert len(set(match)) == m, f"frequency branches not separable along coordinate {j}"
         grad[:, j] = (om_p - om_m[match]) / (2.0 * fd_step)
     return grad
+
+
+# numpy versions of the small-matrix kernels and of the spring Hessians,
+# as the library had them before its kernels moved to nested lists: the
+# oracles the list kernels must match bit for bit at orders <= 2
+
+
+def np_cholesky(a):
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("cholesky expects a square matrix")
+    lower = np.zeros((n, n))
+    if n == 0:
+        return lower
+    tol = 1e-14 * max(np.max(np.diag(a)), 0.0)
+    for i in range(n):
+        for j in range(i + 1):
+            acc = a[i, j] - lower[i, :j] @ lower[j, :j]
+            if i == j:
+                if not acc > tol:
+                    raise NotPositiveDefinite(
+                        f"pivot {acc:.3e} at index {i} (tolerance {tol:.3e})"
+                    )
+                lower[i, i] = math.sqrt(acc)
+            else:
+                lower[i, j] = acc / lower[j, j]
+    return lower
+
+
+def np_solve_lower(lower, b):
+    lower = np.asarray(lower, dtype=float)
+    x = np.array(b, dtype=float, copy=True)
+    n = lower.shape[0]
+    for i in range(n):
+        x[i] -= lower[i, :i] @ x[:i]
+        x[i] /= lower[i, i]
+    return x
+
+
+def np_solve_lower_t(lower, b):
+    lower = np.asarray(lower, dtype=float)
+    x = np.array(b, dtype=float, copy=True)
+    n = lower.shape[0]
+    for i in range(n - 1, -1, -1):
+        x[i] -= lower[i + 1:, i] @ x[i + 1:]
+        x[i] /= lower[i, i]
+    return x
+
+
+def np_solve_dense(a, b):
+    a = np.array(a, dtype=float, copy=True)
+    x = np.array(b, dtype=float, copy=True)
+    n = a.shape[0]
+    if n == 0:
+        return x
+    scale = np.max(np.abs(a))
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) <= 1e-300 + 1e-15 * scale:
+            raise SingularMatrix(f"pivot {a[p, k]:.3e} in column {k}")
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            x[[k, p]] = x[[p, k]]
+        for i in range(k + 1, n):
+            f = a[i, k] / a[k, k]
+            if f != 0.0:
+                a[i, k + 1:] -= f * a[k, k + 1:]
+                x[i] -= f * x[k]
+    for i in range(n - 1, -1, -1):
+        x[i] -= a[i, i + 1:] @ x[i + 1:]
+        x[i] /= a[i, i]
+    return x
+
+
+def np_spring_block(alpha, length, d0, d1, r):
+    """a^2 (u u^T + (r - l)/r (I - u u^T)) by outer products."""
+    u = np.array([d0, d1]) / r
+    return alpha ** 2 * (np.outer(u, u) + (r - length) / r * (np.eye(2) - np.outer(u, u)))
+
+
+def np_hess_double_pendulum(sys, x):
+    r1 = math.hypot(x[0], x[1])
+    d0, d1 = x[2] - x[0], x[3] - x[1]
+    r2 = math.hypot(d0, d1)
+    b1 = np_spring_block(sys.alpha1, sys.l1, x[0], x[1], r1)
+    b2 = np_spring_block(sys.alpha2, sys.l2, d0, d1, r2)
+    h = np.zeros((4, 4))
+    h[:2, :2] = b1 + b2
+    h[:2, 2:] = -b2
+    h[2:, :2] = -b2
+    h[2:, 2:] = b2
+    return h
+
+
+def np_hess_chain(sys, x):
+    h = np.zeros((sys.n, sys.n))
+    px, py = 0.0, 0.0
+    for k in range(sys.m):
+        d0, d1 = x[2 * k] - px, x[2 * k + 1] - py
+        blk = np_spring_block(sys.alphas[k], sys.lengths[k], d0, d1, math.hypot(d0, d1))
+        px, py = x[2 * k], x[2 * k + 1]
+        i = 2 * k
+        h[i:i + 2, i:i + 2] += blk
+        if k > 0:
+            j = 2 * (k - 1)
+            h[j:j + 2, j:j + 2] += blk
+            h[j:j + 2, i:i + 2] -= blk
+            h[i:i + 2, j:j + 2] -= blk
+    return h

@@ -71,7 +71,48 @@ class TestComputeActions:
         assert np.array_equal(a, b)
 
 
+def scan_resonance(omegas):
+    """The full resonance scan, pattern tests inside the loop: oracle for
+    resonance_monitor's precomputed patterns."""
+    om = [float(w) for w in omegas]
+    m = len(om)
+    if m <= 1:
+        return math.inf, math.inf
+    min_gap = math.inf
+    for j in range(m):
+        for k in range(j + 1, m):
+            min_gap = min(min_gap, abs(om[j] - om[k]))
+    min_combo = math.inf
+    for j in range(m):
+        for k in range(m):
+            for l in range(m):
+                for s2 in (1, -1):
+                    for s3 in (1, -1):
+                        coeff = [0] * m
+                        coeff[j] += 1
+                        coeff[k] += s2
+                        coeff[l] += s3
+                        if not any(coeff):
+                            continue
+                        value = om[j] + s2 * om[k] + s3 * om[l]
+                        min_combo = min(min_combo, abs(value))
+    return min_gap, min_combo
+
+
 class TestResonanceMonitor:
+    def test_matches_full_scan(self):
+        rng = np.random.default_rng(61)
+        for m in range(1, 7):
+            for _ in range(40):
+                om = rng.uniform(0.5, 3.0, m)
+                assert resonance_monitor(om) == scan_resonance(om)
+                # exact 2:1 resonances, omega_j = 2 omega_k
+                base = rng.uniform(0.5, 1.5, m)
+                om = np.concatenate([base[: (m + 1) // 2], 2.0 * base[: m // 2]])
+                assert resonance_monitor(om) == scan_resonance(om)
+                if m >= 2:
+                    assert resonance_monitor(om)[1] == 0.0
+
     def test_pair_gap(self):
         gap, combo = resonance_monitor([1.0, math.sqrt(2.0)])
         assert gap == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)

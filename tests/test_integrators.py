@@ -9,7 +9,9 @@ from oscint import (
     hamiltonian,
     impulse_step,
     integrate,
+    integrators,
     make_double_pendulum,
+    make_spring_chain,
     mollified_impulse_step,
     projected_impulse_step,
     stormer_verlet,
@@ -422,3 +424,97 @@ class TestIntegrate:
         assert err.value.partial is not None
         assert len(err.value.partial.samples) >= 1
         assert err.value.time is not None
+
+
+def counting(kick_force, calls, fail_at=None):
+    """kick_force that appends each position it sees to calls and raises
+    on call number fail_at (1-based)."""
+
+    def wrapped(sys, x):
+        calls.append(np.array(x))
+        if len(calls) == fail_at:
+            raise RuntimeError("synthetic kick failure")
+        return kick_force(sys, x)
+
+    return wrapped
+
+
+class TestKickForceReuse:
+    """integrate evaluates each boundary kick force once and reuses it as
+    the next step's opening force; the run stays the step functions'."""
+
+    @staticmethod
+    def cases():
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        pendulum = make_double_pendulum(1e-2)
+        return [
+            (pendulum, random_bounded_energy_states(pendulum, 1, seed=41)[0]),
+            (chain, random_bounded_energy_states(chain, 1, seed=42)[0]),
+        ]
+
+    @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
+    def test_matches_manual_loop_bitwise(self, kind):
+        method = MacroMethod(kind, 0.05)
+        step = step_function(kind)
+        for sys, s0 in self.cases():
+            traj = integrate(sys, s0, method, 0.5)
+            state = s0.copy()
+            want = [state]
+            for k in range(1, 11):
+                state = step(sys, state, method)
+                state.t = s0.t + k * method.h
+                want.append(state)
+            assert len(traj.samples) == len(want)
+            for (got, _), ref in zip(traj.samples, want):
+                assert np.array_equal(got.x, ref.x)
+                assert np.array_equal(got.y, ref.y)
+                assert got.t == ref.t
+
+    @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
+    def test_one_kick_force_per_step_plus_one(self, kind, monkeypatch, bench_state):
+        calls = []
+        monkeypatch.setitem(
+            integrators._KICK_FORCES, kind, counting(integrators._KICK_FORCES[kind], calls)
+        )
+        sys = make_double_pendulum(1e-2)
+        traj = integrate(sys, bench_state, MacroMethod(kind, 0.05), 0.35)
+        assert len(calls) == 7 + 1
+        # one force at the start and one at every step's end
+        for x, (st, _) in zip(calls, traj.samples, strict=True):
+            assert np.array_equal(x, st.x)
+        calls.clear()
+        integrate(sys, bench_state, MacroMethod(kind, 0.05), 0.02)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
+    def test_closing_kick_failure(self, kind, monkeypatch, bench_state):
+        # call 1 opens step 1 and call k + 1 closes step k: call 4 is the
+        # closing kick of step 3, which starts at t = 2h
+        calls = []
+        monkeypatch.setitem(
+            integrators._KICK_FORCES,
+            kind,
+            counting(integrators._KICK_FORCES[kind], calls, fail_at=4),
+        )
+        sys = make_double_pendulum(1e-2)
+        method = MacroMethod(kind, 0.05)
+        with pytest.raises(IntegrationError) as err:
+            integrate(sys, bench_state, method, 0.5)
+        assert err.value.time == 2 * method.h
+        assert str(err.value) == (
+            f"{kind} step failed at t={2 * method.h:.6g}: synthetic kick failure"
+        )
+        assert isinstance(err.value.__cause__, RuntimeError)
+        monkeypatch.undo()
+        state = bench_state.copy()
+        want = [state]
+        for k in (1, 2):
+            state = step_function(kind)(sys, state, method)
+            state.t = k * method.h
+            want.append(state)
+        got = err.value.partial.samples
+        assert len(got) == len(want)
+        for (st, _), ref in zip(got, want):
+            assert np.array_equal(st.x, ref.x)
+            assert np.array_equal(st.y, ref.y)
+            assert st.t == ref.t

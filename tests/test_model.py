@@ -13,7 +13,7 @@ from oscint import (
 from oscint.integrators import integrate_micro
 from oscint.model import State
 
-from conftest import sample_states
+from conftest import np_hess_chain, np_hess_double_pendulum, sample_states
 
 
 def independent_energy(x, y, eps, a1=1.0, a2=1.0, l1=1.0, l2=1.0):
@@ -138,6 +138,21 @@ class TestSpringChain:
             assert np.allclose(
                 chain.hess_stiff(state.x), pendulum.hess_stiff(state.x), atol=1e-14
             )
+
+    def test_float_hessians_match_outer_product_formula_bitwise(self):
+        rng = np.random.default_rng(39)
+        for params in ((1.0, 1.0, 1.0, 1.0), (1.7, 0.6, 1.2, 0.8)):
+            pendulum = make_double_pendulum(1e-2, *params)
+            states = sample_states(pendulum, 30, seed=40)
+            for x in [st.x for st in states] + list(rng.standard_normal((30, 4))):
+                assert np.array_equal(pendulum.hess_stiff(x), np_hess_double_pendulum(pendulum, x))
+        for n_springs in range(1, 9):
+            chain = make_spring_chain(
+                n_springs, 1e-2, rng.uniform(0.5, 2.0, n_springs), rng.uniform(0.5, 2.0, n_springs)
+            )
+            states = sample_states(chain, 10, seed=40 + n_springs)
+            for x in [st.x for st in states] + list(rng.standard_normal((10, chain.n))):
+                assert np.array_equal(chain.hess_stiff(x), np_hess_chain(chain, x))
 
     def test_rest_chain_is_manifold_point(self):
         chain = make_spring_chain(3, 1e-2, [1.0, 2.0, 3.0], [1.0, 0.5, 0.25])
