@@ -35,11 +35,9 @@ from .integrators import (
     StabilityViolation,
     Trajectory,
     fast_flow,
-    impulse_step,
     integrate,
     integrate_micro,
-    mollified_impulse_step,
-    projected_impulse_step,
+    macro_step,
     stormer_verlet,
 )
 from .model import (
@@ -47,11 +45,11 @@ from .model import (
     OscillatorySystem,
     State,
     StiffSpringChain,
-    StiffSpringDoublePendulum,
     benchmark_initial_state,
     hamiltonian,
     make_double_pendulum,
     make_spring_chain,
+    mass_solve,
 )
 from .smallmat import (
     EigenPairs,

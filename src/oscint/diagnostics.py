@@ -15,7 +15,7 @@ import numpy as np
 from .effective import frequencies
 from .geometry import momentum_projector, project_to_manifold
 from .integrators import Trajectory
-from .model import OscillatorySystem, State, hamiltonian, has_identity_mass
+from .model import OscillatorySystem, State, hamiltonian
 
 
 class TimeMismatch(Exception):
@@ -61,11 +61,7 @@ def _mode_split(sys, x, y):
     fset = frequencies(sys, pos)
     if sys.m == 0:
         return pos, fset, np.zeros(0)
-    offset = x - pos
-    if has_identity_mass(sys, pos):
-        coords = fset.vectors.T @ offset
-    else:
-        coords = fset.vectors.T @ (sys.mass_matrix(pos) @ offset)
+    coords = fset.vectors.T @ (sys.mass_matrix(pos) @ (x - pos))
     velocities = fset.vectors.T @ y
     energies = 0.5 * velocities ** 2 + 0.5 * (fset.omegas / sys.epsilon) ** 2 * coords ** 2
     return pos, fset, energies / fset.omegas
@@ -174,8 +170,8 @@ def error_metrics(traj: Trajectory, ref: Trajectory, sys: OscillatorySystem) -> 
     trajectory against the reference's own projected momenta, which for
     a constrained reference equals its momenta.
     """
-    t_q = traj.times()
-    t_r = ref.times()
+    t_q = traj.t
+    t_r = ref.t
     if t_q.size == 0 or t_r.size == 0:
         raise TimeMismatch("empty trajectory")
     tol = 1e-9 * max(1.0, float(t_r[-1]))
@@ -184,13 +180,13 @@ def error_metrics(traj: Trajectory, ref: Trajectory, sys: OscillatorySystem) -> 
             f"trajectory times [{t_q[0]:.6g}, {t_q[-1]:.6g}] outside reference "
             f"range [{t_r[0]:.6g}, {t_r[-1]:.6g}]"
         )
-    x_ref = _interp_rows(t_q, t_r, ref.positions())
-    y_ref = _interp_rows(t_q, t_r, ref.momenta())
+    x_ref = _interp_rows(t_q, t_r, ref.x)
+    y_ref = _interp_rows(t_q, t_r, ref.y)
     err_x = np.empty(t_q.size)
     err_py = np.empty(t_q.size)
-    for i, (state, _) in enumerate(traj.samples):
-        err_x[i] = float(np.max(np.abs(state.x - x_ref[i])))
-        p_traj = momentum_projector(sys, state.x).tangent @ state.y
+    for i, (x, y) in enumerate(zip(traj.x, traj.y)):
+        err_x[i] = float(np.max(np.abs(x - x_ref[i])))
+        p_traj = momentum_projector(sys, x).tangent @ y
         p_ref = momentum_projector(sys, x_ref[i]).tangent @ y_ref[i]
         err_py[i] = float(np.max(np.abs(p_traj - p_ref)))
     return ErrorMetrics(

@@ -20,7 +20,7 @@ import numpy as np
 from . import smallmat
 from .geometry import RankDeficient, consistent_state
 from .integrators import Trajectory
-from .model import OscillatorySystem, State, has_identity_mass
+from .model import OscillatorySystem, mass_solve, pencil_eig, require_constant_mass
 
 DEFAULT_GAP_FACTOR = 1e-6
 
@@ -66,10 +66,7 @@ def frequencies(
     m = sys.m
     if m == 0:
         return FrequencySet(np.zeros(0), np.zeros((sys.n, 0)))
-    if has_identity_mass(sys, x):
-        pairs = smallmat.sym_eig(sys.hess_stiff(x))
-    else:
-        pairs = smallmat.gen_eig(sys.hess_stiff(x), sys.mass_matrix(x))
+    pairs = pencil_eig(sys, x, sys.hess_stiff(x))
     values = pairs.values
     d = sys.n - m
     fast = values[d:]
@@ -109,10 +106,7 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
 
 def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
     """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x)."""
-    if has_identity_mass(sys, es.x):
-        kinetic = 0.5 * float(es.y @ es.y)
-    else:
-        kinetic = 0.5 * float(es.y @ smallmat.solve_spd(sys.mass_matrix(es.x), es.y))
+    kinetic = 0.5 * float(es.y @ mass_solve(sys, es.x, es.y))
     om = frequencies(sys, es.x).omegas
     return kinetic + sys.slow_potential(es.x) + float(es.actions @ om)
 
@@ -128,41 +122,35 @@ def _rattle_step_cached(sys, es, h, force0):
     by Newton, stage 2 enforces the tangency of the end momentum by one
     SPD solve.
     """
-    if not sys.mass_is_constant:
-        raise ValueError("constrained leapfrog requires a constant mass matrix")
+    require_constant_mass(sys)
     x0 = es.x
     y0 = es.y
     jac0_t = sys.constraint_jacobian(x0).T
-    identity_mass = has_identity_mass(sys, x0)
-    mass = None if identity_mass else sys.mass_matrix(x0)
-
-    def minv(v):
-        return v if identity_mass else smallmat.solve_spd(mass, v)
 
     if force0 is None:
         force0 = _applied_force(sys, x0, es.actions)
 
     def position_of(lam):
         y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
-        return x0 + h * minv(y_half)
+        return x0 + h * mass_solve(sys, x0, y_half)
 
     def residual(lam):
         return sys.constraint(position_of(lam))
 
     def jacobian(lam):
         jac1 = sys.constraint_jacobian(position_of(lam))
-        return -0.5 * h * h * (jac1 @ minv(jac0_t))
+        return -0.5 * h * h * (jac1 @ mass_solve(sys, x0, jac0_t))
 
     lam = smallmat.newton_solve(residual, jacobian, np.zeros(sys.m), tol=1e-12)
     y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
-    x1 = x0 + h * minv(y_half)
+    x1 = x0 + h * mass_solve(sys, x0, y_half)
 
     force1 = _applied_force(sys, x1, es.actions)
     jac1 = sys.constraint_jacobian(x1)
     y_free = y_half + 0.5 * h * force1
-    gram = jac1 @ minv(jac1.T)
+    gram = jac1 @ mass_solve(sys, x0, jac1.T)
     try:
-        mu = smallmat.solve_spd(gram, jac1 @ minv(y_free)) * (2.0 / h)
+        mu = smallmat.solve_spd(gram, jac1 @ mass_solve(sys, x0, y_free)) * (2.0 / h)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"velocity-stage system not SPD: {exc}") from exc
     y1 = y_free - 0.5 * h * (jac1.T @ mu)
@@ -181,10 +169,7 @@ def constraint_residuals(sys: OscillatorySystem, es: EffectiveState):
     pos = float(np.max(np.abs(sys.constraint(es.x)))) if sys.m else 0.0
     if sys.m == 0:
         return pos, 0.0
-    if has_identity_mass(sys, es.x):
-        v = es.y
-    else:
-        v = smallmat.solve_spd(sys.mass_matrix(es.x), es.y)
+    v = mass_solve(sys, es.x, es.y)
     mom = float(np.max(np.abs(sys.constraint_jacobian(es.x) @ v)))
     return pos, mom
 
@@ -229,12 +214,11 @@ def effective_reference(
         )
 
     nsteps = 0 if t_end < h_ref else int(math.floor(t_end / h_ref + 0.5))
-    traj = Trajectory(stride=stride)
-    traj.samples.append((State(es.x.copy(), es.y.copy(), es.t), record(es)))
+    samples = [(es.t, es.x, es.y, record(es))]
     force = None
     for k in range(1, nsteps + 1):
         es, force = _rattle_step_cached(sys, es, h_ref, force)
         es.t = k * h_ref
         if k % stride == 0 or k == nsteps:
-            traj.samples.append((State(es.x.copy(), es.y.copy(), es.t), record(es)))
-    return traj
+            samples.append((es.t, es.x, es.y, record(es)))
+    return Trajectory.from_samples(samples)

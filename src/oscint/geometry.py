@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import smallmat
-from .model import OscillatorySystem, has_identity_mass
+from .model import OscillatorySystem, mass_solve
 
 _FD_STEP = 1e-6  # step for differentiating M(x)^-1 G(x)^T lambda
 
@@ -49,16 +49,6 @@ class ManifoldProjection:
     jacobian_t: Optional[np.ndarray] = None
 
 
-def _mass_inverse_apply(sys, x, rhs):
-    """M(x)^-1 @ rhs, skipping the solve for identity mass."""
-    if has_identity_mass(sys, x):
-        return np.array(rhs, dtype=float, copy=True)
-    try:
-        return smallmat.solve_spd(sys.mass_matrix(x), rhs)
-    except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"mass matrix not positive definite: {exc}") from exc
-
-
 def momentum_projector(sys: OscillatorySystem, x) -> ProjectionPair:
     """Projector pair (I - G^T S^-1 G M^-1, G^T S^-1 G M^-1) with
     S = G M^-1 G^T, all evaluated at x."""
@@ -67,12 +57,11 @@ def momentum_projector(sys: OscillatorySystem, x) -> ProjectionPair:
     if sys.m == 0:
         return ProjectionPair(np.eye(n), np.zeros((n, n)))
     jac = sys.constraint_jacobian(x)
-    minv_gt = _mass_inverse_apply(sys, x, jac.T)  # n x m
-    gram = jac @ minv_gt
     try:
-        coeff = smallmat.solve_spd(gram, minv_gt.T)  # m x n, = S^-1 G M^-1
+        minv_gt = mass_solve(sys, x, jac.T)  # n x m
+        coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"constraint Jacobian rank-deficient at x: {exc}") from exc
+        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
     normal = jac.T @ coeff
     return ProjectionPair(np.eye(n) - normal, normal)
 
@@ -93,12 +82,12 @@ def project_to_manifold(
         jac_t = np.eye(sys.n) if want_jacobian else None
         return ManifoldProjection(x.copy(), np.zeros(0), jac_t)
     base_jac_t = sys.constraint_jacobian(x).T  # n x m, frozen at x
-    minv_gt = _mass_inverse_apply(sys, x, base_jac_t)
     # fail fast on rank loss before iterating
     try:
+        minv_gt = mass_solve(sys, x, base_jac_t)
         smallmat.cholesky(base_jac_t.T @ minv_gt)
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"constraint Jacobian rank-deficient at x: {exc}") from exc
+        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
 
     def residual(lam):
         return sys.constraint(x + minv_gt @ lam)
@@ -132,7 +121,7 @@ def _projection_jacobian_t(sys, x, position, lam, minv_gt):
     n = sys.n
 
     def frozen_map(z):
-        return _mass_inverse_apply(sys, z, sys.constraint_jacobian(z).T @ lam)
+        return mass_solve(sys, z, sys.constraint_jacobian(z).T @ lam)
 
     d = np.empty((n, n))
     for j in range(n):

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics, effective, geometry, integrators, model, smallmat
-from .integrators import MacroMethod, Trajectory, integrate
+from .integrators import MacroMethod, integrate
 from .model import State
 
 DEFAULT_STEPSIZES = [2.0 ** -k for k in range(2, 10)]
@@ -53,6 +54,8 @@ class SweepConfig:
     def validate(self):
         if self.model not in ("double_pendulum", "spring_chain"):
             raise ConfigError(f"unknown model {self.model!r}")
+        if not isinstance(self.model_params, dict):
+            raise ConfigError("model_params must be an object")
         if not self.methods:
             raise ConfigError("methods list is empty")
         for kind in self.methods:
@@ -91,15 +94,16 @@ def load_config(path) -> SweepConfig:
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
     known = set(SweepConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        cfg = SweepConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+        return SweepConfig(**raw).validate()
+    except TypeError as exc:  # a value of the wrong type, e.g. a string epsilon
+        raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def build_system(cfg: SweepConfig):
@@ -159,20 +163,13 @@ def write_rows_csv(path, rows: Sequence[SweepRow]):
             )
 
 
-def _trajectory_from_arrays(times, xs, ys) -> Trajectory:
-    traj = Trajectory()
-    for t, x, y in zip(times, xs, ys):
-        traj.samples.append((State(np.array(x), np.array(y), float(t)), None))
-    return traj
-
-
 def _run_one(payload):
     """One (method, h) run against a precomputed reference.
 
     Module-level so process pools can pickle it; rebuilds the model and
     returns a plain tuple.
     """
-    (cfg_dict, kind, h, ref_times, ref_x, ref_y) = payload
+    (cfg_dict, kind, h, ref) = payload
     cfg = config_from_dict(cfg_dict)
     sys = build_system(cfg)
     s0 = initial_state(cfg, sys)
@@ -181,15 +178,10 @@ def _run_one(payload):
     start = time.perf_counter()
     try:
         traj = integrate(sys, s0, method, cfg.t_end, observer=observer, stride=cfg.stride)
-        drift = diagnostics.action_drift(traj.records())
-        if ref_times is None:
-            err_x = math.nan
-            err_py = math.nan
-        else:
-            ref = _trajectory_from_arrays(ref_times, ref_x, ref_y)
-            metrics = diagnostics.error_metrics(traj, ref, sys)
-            err_x = metrics.max_err_x
-            err_py = metrics.max_err_py
+        drift = diagnostics.action_drift(traj.records)
+        metrics = diagnostics.error_metrics(traj, ref, sys)
+        err_x = metrics.max_err_x
+        err_py = metrics.max_err_py
         status = "ok"
     except Exception as exc:  # failed runs become tagged rows, the sweep goes on
         err_x = math.nan
@@ -201,19 +193,7 @@ def _run_one(payload):
 
 
 def _config_payload(cfg: SweepConfig) -> dict:
-    return {
-        "model": cfg.model,
-        "model_params": cfg.model_params,
-        "epsilon": cfg.epsilon,
-        "methods": cfg.methods,
-        "stepsizes": cfg.stepsizes,
-        "t_end": cfg.t_end,
-        "micro_divisor": cfg.micro_divisor,
-        "h_ref": cfg.h_ref,
-        "out": cfg.out,
-        "stride": cfg.stride,
-        "workers": 1,
-    }
+    return dict(asdict(cfg), workers=1)
 
 
 def _run_jobs(cfg, payloads):
@@ -240,12 +220,9 @@ def run_convergence_sweep(cfg: SweepConfig) -> SweepResult:
         sys, s0.x, s0.y, 0.5 * cfg.h_ref, cfg.t_end, with_records=False
     )
     guard = diagnostics.error_metrics(ref, ref2, sys).max_err_x
-    ref_times = ref.times()
-    ref_xs = ref.positions()
-    ref_ys = ref.momenta()
     cfg_dict = _config_payload(cfg)
     payloads = [
-        (cfg_dict, kind, h, ref_times, ref_xs, ref_ys)
+        (cfg_dict, kind, h, ref)
         for kind in cfg.methods
         for h in cfg.stepsizes
     ]
@@ -274,8 +251,8 @@ def run_action_study(cfg: SweepConfig) -> SweepResult:
         start = time.perf_counter()
         try:
             traj = integrate(sys, s0, method, cfg.t_end, observer=observer, stride=cfg.stride)
-            drift = diagnostics.action_drift(traj.records())
-            series.append((kind, traj.records()))
+            drift = diagnostics.action_drift(traj.records)
+            series.append((kind, traj.records))
             status = "ok"
         except Exception as exc:
             drift = math.nan
@@ -294,8 +271,7 @@ def run_action_study(cfg: SweepConfig) -> SweepResult:
 
 
 def _summary_path(out: str) -> str:
-    stem, dot, _ = out.rpartition(".")
-    return (stem if dot else out) + ".summary.csv"
+    return os.path.splitext(out)[0] + ".summary.csv"
 
 
 def run_single(cfg: SweepConfig) -> str:
@@ -318,11 +294,11 @@ def run_single(cfg: SweepConfig) -> str:
     )
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for state, rec in traj.samples:
+        for t, x, y, rec in zip(traj.t, traj.x, traj.y, traj.records):
             vals = (
-                [state.t]
-                + list(state.x)
-                + list(state.y)
+                [t]
+                + list(x)
+                + list(y)
                 + [rec.energy]
                 + list(rec.actions)
                 + [rec.min_gap, rec.min_combo, rec.constraint_residual]
@@ -367,13 +343,8 @@ def random_bounded_energy_states(sys, count, seed, elongation=1.0, momentum=1.0)
         stretch = rng.uniform(-1.0, 1.0, sys.m)
         x = np.empty(sys.n)
         px, py = 0.0, 0.0
-        lengths = getattr(sys, "lengths", None)
         for k in range(sys.m):
-            if lengths is not None:
-                rest = lengths[k]
-            else:
-                rest = sys.l1 if k == 0 else sys.l2
-            r = rest + elongation * sys.epsilon * stretch[k]
+            r = sys.lengths[k] + elongation * sys.epsilon * stretch[k]
             px += r * math.sin(angles[k])
             py += -r * math.cos(angles[k])
             x[2 * k] = px
@@ -452,13 +423,12 @@ def _check_reversibility(kind, eps=1e-2, h=0.01, nsteps=100):
     sys = model.make_double_pendulum(eps)
     s0 = model.benchmark_initial_state(eps)
     method = MacroMethod(kind, h)
-    step = integrators.step_function(kind)
     state = s0.copy()
     for _ in range(nsteps):
-        state = step(sys, state, method)
+        state = integrators.macro_step(sys, state, method)
     state = State(state.x, -state.y, 0.0)
     for _ in range(nsteps):
-        state = step(sys, state, method)
+        state = integrators.macro_step(sys, state, method)
     return float(
         max(np.max(np.abs(state.x - s0.x)), np.max(np.abs(-state.y - s0.y)))
     )

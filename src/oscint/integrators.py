@@ -2,13 +2,13 @@
 
 The micro level is a kick-drift-kick leapfrog (model.leapfrog); the
 fast-flow solver runs it with the slow force switched off.  That stiff
-sub-flow goes through the system's stiff_flow, which the double pendulum
+sub-flow goes through the system's stiff_flow, which the two-spring chain
 overrides with a bit-identical loop on plain floats: on vectors of four
 entries numpy's per-call overhead, not arithmetic, sets the cost of a
 micro step.  stormer_verlet stays the single entry point and runs
 the constant-mass check and the micro stability guard on every call.
-On the macro level three splitting methods share the oscillate step and
-differ only in the kick force:
+On the macro level macro_step runs one of three splitting methods; they
+share the oscillate step and differ only in the kick force:
 
     impulse    kick with -grad slow(x)
     mollified  kick with -J(x)^T grad slow(p(x)), p the manifold
@@ -19,14 +19,21 @@ differ only in the kick force:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import smallmat
 from .geometry import momentum_projector, project_to_manifold
-from .model import OscillatorySystem, State, has_identity_mass, leapfrog
+from .model import (
+    OscillatorySystem,
+    State,
+    has_identity_mass,
+    leapfrog,
+    mass_solve,
+    pencil_eig,
+    require_constant_mass,
+)
 
 METHOD_KINDS = ("impulse", "mollified", "projected")
 
@@ -64,37 +71,20 @@ class MacroMethod:
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples of (state, diagnostics record)."""
+    """Time-ordered samples: times t (N,), positions x and momenta y
+    (N, n), and one diagnostics record per sample (None without an
+    observer)."""
 
-    samples: List[Tuple[State, object]] = field(default_factory=list)
-    stride: int = 1
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    records: list
 
-    def times(self):
-        return np.array([s.t for s, _ in self.samples])
-
-    def positions(self):
-        return np.array([s.x for s, _ in self.samples])
-
-    def momenta(self):
-        return np.array([s.y for s, _ in self.samples])
-
-    def records(self):
-        return [rec for _, rec in self.samples]
-
-
-def _require_constant_mass(sys):
-    if not sys.mass_is_constant:
-        raise ValueError(
-            "explicit leapfrog integration requires a constant mass matrix"
-        )
-
-
-def _mass_apply_inverse(sys, x):
-    """(is_identity, solver) for the constant mass matrix."""
-    if has_identity_mass(sys, x):
-        return True, None
-    lower = smallmat.cholesky(sys.mass_matrix(x))
-    return False, lambda v: smallmat.solve_lower_t(lower, smallmat.solve_lower(lower, v))
+    @classmethod
+    def from_samples(cls, samples) -> "Trajectory":
+        """Trajectory of a non-empty list of (t, x, y, record) tuples."""
+        t, x, y, records = zip(*samples)
+        return cls(np.array(t), np.array(x), np.array(y), list(records))
 
 
 def _check_micro_stability(sys, x, h_micro):
@@ -106,14 +96,12 @@ def _check_micro_stability(sys, x, h_micro):
     """
     if sys.m == 0:
         return
+    hess = sys.hess_stiff(x)
     if has_identity_mass(sys, x):
-        hess = sys.hess_stiff(x)
         bound = float(np.max(np.sum(np.abs(hess), axis=1)))
         if h_micro * math.sqrt(bound) / sys.epsilon < 2.0:
             return
-        values = smallmat.sym_eig(hess).values
-    else:
-        values = smallmat.gen_eig(sys.hess_stiff(x), sys.mass_matrix(x)).values
+    values = pencil_eig(sys, x, hess).values
     omega_max = math.sqrt(max(float(values[-1]), 0.0))
     if h_micro * omega_max / sys.epsilon >= 2.0:
         raise StabilityViolation(
@@ -134,27 +122,24 @@ def stormer_verlet(
 
     Integrates xdot = M^-1 y, ydot = -[include_slow] grad slow
     - grad stiff / epsilon^2.  One stiff-force evaluation per step.
-    The stiff sub-flow with identity mass runs in sys.stiff_flow, every
-    other case in the generic model.leapfrog.
+    The stiff sub-flow runs in sys.stiff_flow, the full flow in the
+    generic model.leapfrog.
     """
-    _require_constant_mass(sys)
+    require_constant_mass(sys)
     _check_micro_stability(sys, state.x, h_micro)
-    identity_mass, minv = _mass_apply_inverse(sys, state.x)
     x = state.x.copy()
     y = state.y.copy()
-    if identity_mass and not include_slow:
-        x, y = sys.stiff_flow(x, y, h_micro, nsteps)
-    else:
+    if include_slow:
         inv_eps2 = 1.0 / sys.epsilon ** 2
         grad_stiff = sys.grad_stiff
         grad_slow = sys.grad_slow
-        if include_slow:
-            def force(z):
-                return -(grad_slow(z) + inv_eps2 * grad_stiff(z))
-        else:
-            def force(z):
-                return (-inv_eps2) * grad_stiff(z)
-        x, y = leapfrog(force, x, y, h_micro, nsteps, minv)
+
+        def force(z):
+            return -(grad_slow(z) + inv_eps2 * grad_stiff(z))
+
+        x, y = leapfrog(force, x, y, h_micro, nsteps, lambda v: mass_solve(sys, state.x, v))
+    else:
+        x, y = sys.stiff_flow(x, y, h_micro, nsteps)
     return State(x, y, state.t + nsteps * h_micro)
 
 
@@ -189,13 +174,14 @@ _KICK_FORCES = {
 }
 
 
-def _splitting_step(sys, state, method, kick_force, f_start=None):
+def _splitting_step(sys, state, method, f_start=None):
     """One kick-oscillate-kick step; returns (State, f_end).
 
     f_start is the kick force at state.x when the caller already has it.
     A kick changes only the momenta, so the closing force f_end is the
     next step's opening force (first same as last).
     """
+    kick_force = _KICK_FORCES[method.kind]
     half = 0.5 * method.h
     if f_start is None:
         f_start = kick_force(sys, state.x)
@@ -205,39 +191,9 @@ def _splitting_step(sys, state, method, kick_force, f_start=None):
     return State(mid.x, mid.y - half * f_end, mid.t), f_end
 
 
-def impulse_step(sys: OscillatorySystem, state: State, method: MacroMethod) -> State:
-    """Plain splitting step: slow kick, fast flow, slow kick."""
-    if method.kind != "impulse":
-        raise ValueError(f"method kind is {method.kind!r}, not 'impulse'")
-    return _splitting_step(sys, state, method, _kick_force_impulse)[0]
-
-
-def mollified_impulse_step(
-    sys: OscillatorySystem, state: State, method: MacroMethod
-) -> State:
-    """Splitting step whose kicks use the slow force pulled back through
-    the manifold projection of the position."""
-    if method.kind != "mollified":
-        raise ValueError(f"method kind is {method.kind!r}, not 'mollified'")
-    return _splitting_step(sys, state, method, _kick_force_mollified)[0]
-
-
-def projected_impulse_step(
-    sys: OscillatorySystem, state: State, method: MacroMethod
-) -> State:
-    """Splitting step whose kicks project the slow force onto the
-    constraint-tangential momentum directions."""
-    if method.kind != "projected":
-        raise ValueError(f"method kind is {method.kind!r}, not 'projected'")
-    return _splitting_step(sys, state, method, _kick_force_projected)[0]
-
-
-def step_function(kind: str) -> Callable:
-    return {
-        "impulse": impulse_step,
-        "mollified": mollified_impulse_step,
-        "projected": projected_impulse_step,
-    }[kind]
+def macro_step(sys: OscillatorySystem, state: State, method: MacroMethod) -> State:
+    """One kick-oscillate-kick step of the method's kind."""
+    return _splitting_step(sys, state, method)[0]
 
 
 def integrate(
@@ -253,34 +209,37 @@ def integrate(
     Samples every `stride`-th macro step (plus the initial and final
     states).  Each step reuses the previous step's closing kick force,
     so a run evaluates the kick force nsteps + 1 times; the states are
-    those of the step functions applied in turn.  A failing step aborts
-    with an IntegrationError carrying the partial trajectory and the
-    failure time.
+    those of macro_step applied in turn.  A failing step aborts with an
+    IntegrationError carrying the partial trajectory and the failure
+    time.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    kick_force = _KICK_FORCES[method.kind]
     nsteps = 0 if t_end < method.h else int(math.floor(t_end / method.h + 0.5))
-    traj = Trajectory(stride=stride)
-    state = State(state0.x.copy(), state0.y.copy(), state0.t)
-    traj.samples.append((state, observer(sys, state) if observer else None))
+    samples = []
+
+    def sample(state):
+        samples.append((state.t, state.x, state.y, observer(sys, state) if observer else None))
+
+    state = state0
+    sample(state)
     t0 = state0.t
     force = None
     for k in range(1, nsteps + 1):
         try:
-            state, force = _splitting_step(sys, state, method, kick_force, force)
+            state, force = _splitting_step(sys, state, method, force)
         except Exception as exc:
             raise IntegrationError(
                 f"{method.kind} step failed at t={state.t:.6g}: {exc}",
-                partial=traj,
+                partial=Trajectory.from_samples(samples),
                 time=state.t,
             ) from exc
         state.t = t0 + k * method.h  # multiplicative clock, no accumulation
         if k % stride == 0 or k == nsteps:
-            traj.samples.append((state, observer(sys, state) if observer else None))
-    return traj
+            sample(state)
+    return Trajectory.from_samples(samples)
 
 
 def integrate_micro(
@@ -295,9 +254,13 @@ def integrate_micro(
     """Plain leapfrog run of the full system, sampled every
     sample_stride micro steps.  Used for fine reference integrations of
     the oscillatory dynamics itself."""
-    traj = Trajectory(stride=sample_stride)
-    state = State(state0.x.copy(), state0.y.copy(), state0.t)
-    traj.samples.append((state, observer(sys, state) if observer else None))
+    samples = []
+
+    def sample(state):
+        samples.append((state.t, state.x, state.y, observer(sys, state) if observer else None))
+
+    state = state0
+    sample(state)
     t0 = state0.t
     done = 0
     while done < nsteps:
@@ -305,5 +268,5 @@ def integrate_micro(
         state = stormer_verlet(sys, state, h_micro, chunk, include_slow=include_slow)
         done += chunk
         state.t = t0 + done * h_micro
-        traj.samples.append((state, observer(sys, state) if observer else None))
-    return traj
+        sample(state)
+    return Trajectory.from_samples(samples)

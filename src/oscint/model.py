@@ -7,8 +7,7 @@ constraint manifold, and the constraint function with its Jacobian:
     H(x, y) = 1/2 y^T M(x)^-1 y + slow(x) + stiff(x) / epsilon^2
 
 Shipped models are planar chains of stiff springs under gravity; the
-two-bob chain is also available as an independently coded class for
-cross-checking.
+double pendulum is the two-spring chain.
 """
 
 from __future__ import annotations
@@ -110,26 +109,30 @@ class OscillatorySystem:
         return g
 
     def stiff_flow(self, x, y, h_micro, nsteps):
-        """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 (identity
-        mass) over nsteps micro steps of h_micro; returns the new (x, y).
+        """Leapfrog of xdot = M^-1 y, ydot = -grad stiff / epsilon^2
+        (constant mass) over nsteps micro steps of h_micro; returns the
+        new (x, y).
 
         An override must reproduce this loop bit for bit and raise
         DomainError at every step where grad_stiff would.
         """
         scale = -(1.0 / self.epsilon ** 2)
         grad_stiff = self.grad_stiff
-        return leapfrog(lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps)
+        return leapfrog(
+            lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps,
+            lambda v: mass_solve(self, x, v),
+        )
 
 
-def leapfrog(force, x, y, h_micro, nsteps, velocity=None):
-    """Kick-drift-kick leapfrog of xdot = velocity(y) (y itself when
-    velocity is None), ydot = force(x) over nsteps equal micro steps;
-    returns (x, y).  One force evaluation per step."""
+def leapfrog(force, x, y, h_micro, nsteps, velocity):
+    """Kick-drift-kick leapfrog of xdot = velocity(y), ydot = force(x)
+    over nsteps equal micro steps; returns (x, y).  One force evaluation
+    per step."""
     half = 0.5 * h_micro
     f = force(x)
     for _ in range(nsteps):
         y = y + half * f
-        x = x + h_micro * (y if velocity is None else velocity(y))
+        x = x + h_micro * velocity(y)
         f = force(x)
         y = y + half * f
     return x, y
@@ -167,141 +170,8 @@ def _spring_contract(a2, length, d0, d1, r, w0, w1):
     return c * (t * u0 + 2.0 * s * w0), c * (t * u1 + 2.0 * s * w1)
 
 
-@dataclass
-class StiffSpringDoublePendulum(OscillatorySystem):
-    """Two bobs in the plane, each tied by a stiff spring, under gravity.
-
-    Positions are x = (bob1_x, bob1_y, bob2_x, bob2_y); the first spring
-    anchors bob 1 to the origin, the second connects the bobs.  Unit
-    masses, unit gravitational constant:
-
-        slow(x)  = x[1] + x[3]
-        stiff(x) = 1/2 a1^2 (|x1| - l1)^2 + 1/2 a2^2 (|x2 - x1| - l2)^2
-
-    Spring constants of the full problem are (a_i / epsilon)^2; the
-    constraint vector carries the raw elongations so that the rows of its
-    Jacobian are geometrically normalized.
-    """
-
-    epsilon: float
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    l1: float = 1.0
-    l2: float = 1.0
-    n: int = field(init=False, default=4)
-    m: int = field(init=False, default=2)
-    mass_is_constant: bool = field(init=False, default=True)
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if min(self.alpha1, self.alpha2, self.l1, self.l2) <= 0.0:
-            raise ValueError("spring parameters must be positive")
-
-    def _lengths(self, x):
-        r1 = math.hypot(x[0], x[1])
-        d0 = x[2] - x[0]
-        d1 = x[3] - x[1]
-        r2 = math.hypot(d0, d1)
-        if r1 < _MIN_SPRING_LENGTH or r2 < _MIN_SPRING_LENGTH:
-            raise DomainError(f"spring length collapsed: |x1|={r1:.3e}, |x2-x1|={r2:.3e}")
-        return r1, d0, d1, r2
-
-    def mass_matrix(self, x):
-        return np.eye(4)
-
-    def slow_potential(self, x):
-        return x[1] + x[3]
-
-    def grad_slow(self, x):
-        return np.array([0.0, 1.0, 0.0, 1.0])
-
-    def stiff_potential(self, x):
-        r1, _, _, r2 = self._lengths(x)
-        return 0.5 * (self.alpha1 * (r1 - self.l1)) ** 2 + 0.5 * (
-            self.alpha2 * (r2 - self.l2)
-        ) ** 2
-
-    def grad_stiff(self, x):
-        r1, d0, d1, r2 = self._lengths(x)
-        c1 = self.alpha1 ** 2 * (r1 - self.l1) / r1
-        c2 = self.alpha2 ** 2 * (r2 - self.l2) / r2
-        g = np.empty(4)
-        g[0] = c1 * x[0] - c2 * d0
-        g[1] = c1 * x[1] - c2 * d1
-        g[2] = c2 * d0
-        g[3] = c2 * d1
-        return g
-
-    def hess_stiff(self, x):
-        r1, d0, d1, r2 = self._lengths(x)
-        p00, p01, p11 = _spring_block(self.alpha1 ** 2, self.l1, x[0], x[1], r1)
-        q00, q01, q11 = _spring_block(self.alpha2 ** 2, self.l2, d0, d1, r2)
-        return np.array([
-            [p00 + q00, p01 + q01, -q00, -q01],
-            [p01 + q01, p11 + q11, -q01, -q11],
-            [-q00, -q01, q00, q01],
-            [-q01, -q11, q01, q11],
-        ])
-
-    def hess_stiff_contract(self, x, v):
-        r1, d0, d1, r2 = self._lengths(x)
-        p0, p1 = _spring_contract(self.alpha1 ** 2, self.l1, x[0], x[1], r1, v[0], v[1])
-        q0, q1 = _spring_contract(
-            self.alpha2 ** 2, self.l2, d0, d1, r2, v[2] - v[0], v[3] - v[1]
-        )
-        return np.array([p0 - q0, p1 - q1, q0, q1])
-
-    def constraint(self, x):
-        r1, _, _, r2 = self._lengths(x)
-        return np.array([r1 - self.l1, r2 - self.l2])
-
-    def constraint_jacobian(self, x):
-        r1, d0, d1, r2 = self._lengths(x)
-        jac = np.zeros((2, 4))
-        jac[0, 0] = x[0] / r1
-        jac[0, 1] = x[1] / r1
-        jac[1, 0] = -d0 / r2
-        jac[1, 1] = -d1 / r2
-        jac[1, 2] = d0 / r2
-        jac[1, 3] = d1 / r2
-        return jac
-
-    def stiff_flow(self, x, y, h_micro, nsteps):
-        """The generic leapfrog unrolled on floats; same operations, same
-        order, so the result is bit-identical.  The force and the collapse
-        check repeat grad_stiff and _lengths: change them together."""
-        a1, a2 = self.alpha1 ** 2, self.alpha2 ** 2
-        l1, l2 = self.l1, self.l2
-        scale = -(1.0 / self.epsilon ** 2)
-        half = 0.5 * h_micro
-        hypot = math.hypot
-        x0, x1, x2, x3 = x.tolist()
-        y0, y1, y2, y3 = y.tolist()
-        # step i closes micro step i (second half kick) and opens step
-        # i + 1 (first half kick, drift): one force evaluation per step
-        for i in range(nsteps + 1):
-            r1 = hypot(x0, x1)
-            d0 = x2 - x0
-            d1 = x3 - x1
-            r2 = hypot(d0, d1)
-            if r1 < _MIN_SPRING_LENGTH or r2 < _MIN_SPRING_LENGTH:
-                raise DomainError(f"spring length collapsed: |x1|={r1:.3e}, |x2-x1|={r2:.3e}")
-            c1 = a1 * (r1 - l1) / r1
-            c2 = a2 * (r2 - l2) / r2
-            k0 = half * (scale * (c1 * x0 - c2 * d0))
-            k1 = half * (scale * (c1 * x1 - c2 * d1))
-            k2 = half * (scale * (c2 * d0))
-            k3 = half * (scale * (c2 * d1))
-            if i:
-                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
-            if i < nsteps:
-                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
-                x0 = x0 + h_micro * y0
-                x1 = x1 + h_micro * y1
-                x2 = x2 + h_micro * y2
-                x3 = x3 + h_micro * y3
-        return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
+def _collapsed(k, r):
+    return DomainError(f"spring {k} length collapsed: {r:.3e}")
 
 
 @dataclass
@@ -309,9 +179,18 @@ class StiffSpringChain(OscillatorySystem):
     """Chain of N bobs joined by stiff springs, first spring anchored at
     the origin, gravity acting on every bob.
 
-    Generalizes the two-bob model; evaluators are written over the spring
-    list with the same per-spring arithmetic so the N=2 chain reproduces
-    the double pendulum bit for bit.
+    Positions are x = (bob1_x, bob1_y, ..., bobN_x, bobN_y); spring k
+    ties bob k to bob k - 1 (to the origin for k = 0).  Unit masses, unit
+    gravitational constant:
+
+        slow(x)  = sum_k bobk_y
+        stiff(x) = sum_k 1/2 a_k^2 (|bob_k - bob_(k-1)| - l_k)^2
+
+    Spring constants of the full problem are (a_k / epsilon)^2; the
+    constraint vector carries the raw elongations so that the rows of its
+    Jacobian are geometrically normalized.  The evaluators run on plain
+    floats: on vectors of a few entries numpy's per-call overhead, not
+    arithmetic, sets their cost.
     """
 
     epsilon: float
@@ -334,19 +213,23 @@ class StiffSpringChain(OscillatorySystem):
             raise ValueError("spring parameters must be positive")
         self.m = self.alphas.size
         self.n = 2 * self.m
+        self._a2 = [a ** 2 for a in self.alphas.tolist()]
+        self._len = self.lengths.tolist()
 
     def _segments(self, x):
         """Per spring: (dx, dy, length), measured from the previous bob."""
+        xs = x.tolist()
         segs = []
         px, py = 0.0, 0.0
         for k in range(self.m):
-            d0 = x[2 * k] - px
-            d1 = x[2 * k + 1] - py
+            qx, qy = xs[2 * k], xs[2 * k + 1]
+            d0 = qx - px
+            d1 = qy - py
             r = math.hypot(d0, d1)
             if r < _MIN_SPRING_LENGTH:
-                raise DomainError(f"spring {k} length collapsed: {r:.3e}")
+                raise _collapsed(k, r)
             segs.append((d0, d1, r))
-            px, py = x[2 * k], x[2 * k + 1]
+            px, py = qx, qy
         return segs
 
     def mass_matrix(self, x):
@@ -365,33 +248,32 @@ class StiffSpringChain(OscillatorySystem):
 
     def stiff_potential(self, x):
         segs = self._segments(x)
+        alphas = self.alphas.tolist()
         total = 0.0
         for k, (_, _, r) in enumerate(segs):
-            total = total + 0.5 * (self.alphas[k] * (r - self.lengths[k])) ** 2
+            total = total + 0.5 * (alphas[k] * (r - self._len[k])) ** 2
         return total
 
     def grad_stiff(self, x):
         segs = self._segments(x)
         coef = [
-            self.alphas[k] ** 2 * (segs[k][2] - self.lengths[k]) / segs[k][2]
+            self._a2[k] * (segs[k][2] - self._len[k]) / segs[k][2]
             for k in range(self.m)
         ]
-        g = np.empty(self.n)
+        g = []
         for k, (d0, d1, _) in enumerate(segs):
             if k + 1 < self.m:
                 e0, e1, _ = segs[k + 1]
-                g[2 * k] = coef[k] * d0 - coef[k + 1] * e0
-                g[2 * k + 1] = coef[k] * d1 - coef[k + 1] * e1
+                g += [coef[k] * d0 - coef[k + 1] * e0, coef[k] * d1 - coef[k + 1] * e1]
             else:
-                g[2 * k] = coef[k] * d0
-                g[2 * k + 1] = coef[k] * d1
-        return g
+                g += [coef[k] * d0, coef[k] * d1]
+        return np.array(g)
 
     def hess_stiff(self, x):
         segs = self._segments(x)
         h = [[0.0] * self.n for _ in range(self.n)]
         for k, (d0, d1, r) in enumerate(segs):
-            b00, b01, b11 = _spring_block(self.alphas[k] ** 2, self.lengths[k], d0, d1, r)
+            b00, b01, b11 = _spring_block(self._a2[k], self._len[k], d0, d1, r)
             blk = ((b00, b01), (b01, b11))
             i = 2 * k
             j = i - 2
@@ -407,23 +289,24 @@ class StiffSpringChain(OscillatorySystem):
 
     def hess_stiff_contract(self, x, v):
         segs = self._segments(x)
-        g = np.zeros(self.n)
+        v = v.tolist()
+        g = [0.0] * self.n
         for k, (d0, d1, r) in enumerate(segs):
             i = 2 * k
             w0, w1 = v[i], v[i + 1]
             if k > 0:
                 w0, w1 = w0 - v[i - 2], w1 - v[i - 1]
-            t0, t1 = _spring_contract(self.alphas[k] ** 2, self.lengths[k], d0, d1, r, w0, w1)
+            t0, t1 = _spring_contract(self._a2[k], self._len[k], d0, d1, r, w0, w1)
             g[i] += t0
             g[i + 1] += t1
             if k > 0:
                 g[i - 2] -= t0
                 g[i - 1] -= t1
-        return g
+        return np.array(g)
 
     def constraint(self, x):
         segs = self._segments(x)
-        return np.array([segs[k][2] - self.lengths[k] for k in range(self.m)])
+        return np.array([segs[k][2] - self._len[k] for k in range(self.m)])
 
     def constraint_jacobian(self, x):
         segs = self._segments(x)
@@ -436,10 +319,51 @@ class StiffSpringChain(OscillatorySystem):
                 jac[k, 2 * k - 1] = -d1 / r
         return jac
 
+    def stiff_flow(self, x, y, h_micro, nsteps):
+        """For two springs, the generic leapfrog unrolled on floats: same
+        operations in the same order as grad_stiff, so the result is
+        bit-identical.  Other chains run the generic loop."""
+        if self.m != 2:
+            return super().stiff_flow(x, y, h_micro, nsteps)
+        a1, a2 = self._a2
+        l1, l2 = self._len
+        scale = -(1.0 / self.epsilon ** 2)
+        half = 0.5 * h_micro
+        hypot = math.hypot
+        x0, x1, x2, x3 = x.tolist()
+        y0, y1, y2, y3 = y.tolist()
+        # step i closes micro step i (second half kick) and opens step
+        # i + 1 (first half kick, drift): one force evaluation per step
+        for i in range(nsteps + 1):
+            r1 = hypot(x0, x1)
+            if r1 < _MIN_SPRING_LENGTH:
+                raise _collapsed(0, r1)
+            d0 = x2 - x0
+            d1 = x3 - x1
+            r2 = hypot(d0, d1)
+            if r2 < _MIN_SPRING_LENGTH:
+                raise _collapsed(1, r2)
+            c1 = a1 * (r1 - l1) / r1
+            c2 = a2 * (r2 - l2) / r2
+            k0 = half * (scale * (c1 * x0 - c2 * d0))
+            k1 = half * (scale * (c1 * x1 - c2 * d1))
+            k2 = half * (scale * (c2 * d0))
+            k3 = half * (scale * (c2 * d1))
+            if i:
+                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
+            if i < nsteps:
+                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
+                x0 = x0 + h_micro * y0
+                x1 = x1 + h_micro * y1
+                x2 = x2 + h_micro * y2
+                x3 = x3 + h_micro * y3
+        return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
+
 
 def make_double_pendulum(epsilon, alpha1=1.0, alpha2=1.0, l1=1.0, l2=1.0):
-    """Stiff spring double pendulum with unit gravity."""
-    return StiffSpringDoublePendulum(epsilon, alpha1, alpha2, l1, l2)
+    """Stiff spring double pendulum with unit gravity: the two-spring
+    chain."""
+    return StiffSpringChain(epsilon, [alpha1, alpha2], [l1, l2])
 
 
 def make_spring_chain(n_springs, epsilon, alphas, lengths):
@@ -477,14 +401,32 @@ def has_identity_mass(sys: OscillatorySystem, x) -> bool:
     return result
 
 
+def require_constant_mass(sys: OscillatorySystem):
+    if not sys.mass_is_constant:
+        raise ValueError("leapfrog integration requires a constant mass matrix")
+
+
+def mass_solve(sys: OscillatorySystem, x, v):
+    """M(x)^-1 v for a vector or a matrix of columns v; v itself for
+    identity mass.  Raises smallmat.NotPositiveDefinite for a mass matrix
+    that is not SPD."""
+    if has_identity_mass(sys, x):
+        return v
+    return smallmat.solve_spd(sys.mass_matrix(x), v)
+
+
+def pencil_eig(sys: OscillatorySystem, x, hess) -> smallmat.EigenPairs:
+    """Eigenpairs of the pencil (hess, M(x)), ascending, with
+    mass-orthonormal vectors: a symmetric eigensolve for identity mass."""
+    if has_identity_mass(sys, x):
+        return smallmat.sym_eig(hess)
+    return smallmat.gen_eig(hess, sys.mass_matrix(x))
+
+
 def hamiltonian(sys: OscillatorySystem, state: State) -> float:
     """Total energy 1/2 y^T M^-1 y + slow(x) + stiff(x)/epsilon^2."""
-    if has_identity_mass(sys, state.x):
-        kinetic = 0.5 * float(state.y @ state.y)
-    else:
-        kinetic = 0.5 * float(state.y @ smallmat.solve_spd(sys.mass_matrix(state.x), state.y))
     return (
-        kinetic
+        0.5 * float(state.y @ mass_solve(sys, state.x, state.y))
         + sys.slow_potential(state.x)
         + sys.stiff_potential(state.x) / sys.epsilon ** 2
     )

@@ -137,8 +137,8 @@ def np_hess_double_pendulum(sys, x):
     r1 = math.hypot(x[0], x[1])
     d0, d1 = x[2] - x[0], x[3] - x[1]
     r2 = math.hypot(d0, d1)
-    b1 = np_spring_block(sys.alpha1, sys.l1, x[0], x[1], r1)
-    b2 = np_spring_block(sys.alpha2, sys.l2, d0, d1, r2)
+    b1 = np_spring_block(sys.alphas[0], sys.lengths[0], x[0], x[1], r1)
+    b2 = np_spring_block(sys.alphas[1], sys.lengths[1], d0, d1, r2)
     h = np.zeros((4, 4))
     h[:2, :2] = b1 + b2
     h[:2, 2:] = -b2

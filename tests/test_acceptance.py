@@ -60,7 +60,7 @@ def action_study():
             traj = integrators.integrate(
                 sys, s0, MacroMethod(kind, 0.05), 10.0, observer=observer
             )
-            drifts[(kind, eps)] = diagnostics.action_drift(traj.records())
+            drifts[(kind, eps)] = diagnostics.action_drift(traj.records)
     return drifts
 
 
@@ -92,7 +92,7 @@ def fine_flow():
         data[eps] = {
             "err_x": metrics.max_err_x,
             "err_py": metrics.max_err_py,
-            "action_drift": diagnostics.action_drift(micro.records()),
+            "action_drift": diagnostics.action_drift(micro.records),
         }
     return data
 
@@ -280,13 +280,12 @@ class TestCriterion8Reversibility:
         errs = {}
         for kind in ("projected", "mollified"):
             method = MacroMethod(kind, 0.01)
-            step = integrators.step_function(kind)
             state = s0.copy()
             for _ in range(100):
-                state = step(sys, state, method)
+                state = integrators.macro_step(sys, state, method)
             state = integrators.State(state.x, -state.y, 0.0)
             for _ in range(100):
-                state = step(sys, state, method)
+                state = integrators.macro_step(sys, state, method)
             errs[kind] = max(
                 float(np.max(np.abs(state.x - s0.x))),
                 float(np.max(np.abs(-state.y - s0.y))),

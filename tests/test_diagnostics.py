@@ -16,7 +16,6 @@ from oscint import (
 )
 from oscint.diagnostics import TimeMismatch, action_drift, make_observer
 from oscint.integrators import MacroMethod, Trajectory, integrate, integrate_micro
-from oscint.model import State
 
 
 def averaged_actions_oracle(sys, state, periods=1, divisor=1000):
@@ -29,7 +28,7 @@ def averaged_actions_oracle(sys, state, periods=1, divisor=1000):
     n = max(1, int(round(period / h_micro)))
     obs = make_observer(sys)
     traj = integrate_micro(sys, state, period / n, n, sample_stride=1, observer=obs)
-    acts = np.array([rec.actions for rec in traj.records()])
+    acts = np.array([rec.actions for rec in traj.records])
     return acts[:-1].mean(axis=0)
 
 
@@ -155,8 +154,8 @@ class TestConvexityCheck:
         traj = effective_reference(
             pendulum, bench_state.x, bench_state.y, 1e-3, 1.0, stride=100
         )
-        for state, _ in traj.samples:
-            assert convexity_check(pendulum, state.x) > 0.0
+        for x in traj.x:
+            assert convexity_check(pendulum, x) > 0.0
 
 
 class TestErrorMetrics:
@@ -172,10 +171,8 @@ class TestErrorMetrics:
 
     def test_constant_shift_detected(self, pendulum):
         traj = self._make_traj(pendulum)
-        shifted = Trajectory()
         delta = 1e-3
-        for state, rec in traj.samples:
-            shifted.samples.append((State(state.x + delta, state.y.copy(), state.t), rec))
+        shifted = Trajectory(traj.t, traj.x + delta, traj.y, traj.records)
         met = error_metrics(shifted, traj, pendulum)
         assert met.max_err_x == pytest.approx(delta, rel=1e-9)
 
@@ -224,9 +221,9 @@ class TestObserver:
     def test_action_drift_helper(self, pendulum, bench_state):
         obs = make_observer(pendulum)
         traj = integrate(pendulum, bench_state, MacroMethod("projected", 0.05), 0.5, observer=obs)
-        drift = action_drift(traj.records())
-        base = traj.records()[0].actions
+        drift = action_drift(traj.records)
+        base = traj.records[0].actions
         expect = max(
-            float(np.max(np.abs(r.actions - base))) for r in traj.records()
+            float(np.max(np.abs(r.actions - base))) for r in traj.records
         )
         assert drift == expect

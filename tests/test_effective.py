@@ -193,18 +193,17 @@ class TestEffectiveReference:
         # consistent data: the correction force vanishes identically
         x0 = on_manifold_config()
         traj = effective_reference(pendulum, x0, np.zeros(4), 1e-3, 0.2)
-        rec = traj.records()[0]
+        rec = traj.records[0]
         assert np.max(np.abs(rec.actions)) <= 1e-10
         # rerun with the correction force forcibly disabled
         es = EffectiveState(*consistent_state(pendulum, x0, np.zeros(4)), np.zeros(2), np.zeros(2))
         for _ in range(200):
             es = rattle_step(pendulum, es, 1e-3)
-        final = traj.samples[-1][0]
-        assert np.max(np.abs(final.x - es.x)) <= 1e-12
+        assert np.max(np.abs(traj.x[-1] - es.x)) <= 1e-12
 
     def test_energy_conserved_and_frequencies_separated(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-3, 10.0, stride=10)
-        recs = traj.records()
+        recs = traj.records
         e0 = recs[0].energy
         drift = max(abs(r.energy - e0) for r in recs)
         assert drift <= 1e-4  # no secular drift at h_ref^2 scale

@@ -213,6 +213,12 @@ class TestActionStudy:
         with pytest.raises(ConfigError):
             harness.run_action_study(cfg)
 
+    def test_summary_path(self):
+        assert harness._summary_path("out.csv") == "out.summary.csv"
+        assert harness._summary_path("a.b/out.csv") == "a.b/out.summary.csv"
+        assert harness._summary_path("runs.v2/actions") == "runs.v2/actions.summary.csv"
+        assert harness._summary_path("actions") == "actions.summary.csv"
+
 
 class TestPerformanceGuard:
     def test_wall_time_scales_with_micro_work(self, tmp_path):
@@ -307,3 +313,27 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert (tmp_path / "acts.summary.csv").exists()
+
+    def test_actions_summary_stays_in_dotted_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v2").mkdir()
+        code = cli.main([
+            "actions", "--method", "projected", "--h", "0.1", "--epsilon", "0.01",
+            "--t-end", "0.2", "--out", "runs.v2/actions",
+        ])
+        assert code == 0
+        assert (tmp_path / "runs.v2" / "actions").exists()
+        assert (tmp_path / "runs.v2" / "actions.summary.csv").exists()
+        assert not (tmp_path / "runs.summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "raw", ['{"epsilon": "0.01"}', '{"stepsizes": 0.1}', "5", '{"model_params": 5}'],
+        ids=["string-epsilon", "scalar-stepsizes", "non-object", "scalar-model-params"],
+    )
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(raw)
+        code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()

@@ -7,21 +7,14 @@ from oscint import (
     DomainError,
     fast_flow,
     hamiltonian,
-    impulse_step,
     integrate,
     integrators,
+    macro_step,
     make_double_pendulum,
     make_spring_chain,
-    mollified_impulse_step,
-    projected_impulse_step,
     stormer_verlet,
 )
-from oscint.integrators import (
-    IntegrationError,
-    MacroMethod,
-    StabilityViolation,
-    step_function,
-)
+from oscint.integrators import IntegrationError, MacroMethod, StabilityViolation
 from oscint.harness import random_bounded_energy_states
 from oscint.model import OscillatorySystem, State
 
@@ -184,8 +177,13 @@ def inline_leapfrog(sys, state, h_micro, nsteps, include_slow):
 
 
 def kernel_systems():
-    """Double pendulums with default and with uneven parameters."""
-    return [make_double_pendulum(1e-3), make_double_pendulum(1e-3, 1.3, 0.7, 1.1, 0.9)]
+    """Two-spring chains with default and with uneven parameters (the
+    unrolled kernel), and a three-spring chain (the generic loop)."""
+    return [
+        make_double_pendulum(1e-3),
+        make_double_pendulum(1e-3, 1.3, 0.7, 1.1, 0.9),
+        make_spring_chain(3, 1e-3, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
+    ]
 
 
 class TestStiffFlowKernels:
@@ -224,12 +222,17 @@ class TestStiffFlowKernels:
         x0 = np.array([0.0, -d, 0.0, -1.0 - d])
         kick = 0.5 * h_micro * (-(1.0 / eps ** 2)) * sys.grad_stiff(x0)
         y0 = np.array([0.0, d / h_micro - kick[1], 0.0, 0.0])
-        with pytest.raises(DomainError, match="collapsed"):
-            sys.stiff_flow(x0, y0, h_micro, 3)
-        with pytest.raises(DomainError, match="collapsed"):
-            OscillatorySystem.stiff_flow(sys, x0, y0, h_micro, 3)
-        with pytest.raises(DomainError, match="collapsed"):
-            stormer_verlet(sys, State(x0, y0), h_micro, 3, include_slow=False)
+        messages = []
+        for run in (
+            lambda: sys.stiff_flow(x0, y0, h_micro, 3),
+            lambda: OscillatorySystem.stiff_flow(sys, x0, y0, h_micro, 3),
+            lambda: stormer_verlet(sys, State(x0, y0), h_micro, 3, include_slow=False),
+        ):
+            with pytest.raises(DomainError, match="spring 0 length collapsed") as err:
+                run()
+            messages.append(str(err.value))
+        # the kernel raises the evaluators' own message
+        assert messages[0] == messages[1] == messages[2]
 
     def test_fast_flow_enters_through_stiff_flow(self, pendulum, bench_state):
         calls = []
@@ -273,7 +276,7 @@ class TestMacroSteps:
         sys = make_double_pendulum(1e-2)
         sys.grad_slow = lambda x: np.zeros(4)  # type: ignore
         method = MacroMethod("impulse", 0.05)
-        a = impulse_step(sys, bench_state, method)
+        a = macro_step(sys, bench_state, method)
         b = fast_flow(sys, bench_state, 0.05, 100)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
@@ -283,7 +286,7 @@ class TestMacroSteps:
         for kind in ("mollified", "projected"):
             sys = make_double_pendulum(1e-2)
             sys.grad_slow = lambda x: np.zeros(4)  # type: ignore
-            out = step_function(kind)(sys, bench_state, MacroMethod(kind, 0.05))
+            out = macro_step(sys, bench_state, MacroMethod(kind, 0.05))
             assert np.allclose(out.x, base.x, atol=1e-15)
             assert np.allclose(out.y, base.y, atol=1e-15)
 
@@ -293,7 +296,7 @@ class TestMacroSteps:
         sys = FreeSlowSystem(n=2, slow=lambda x: x[0] ** 2 + x[1], grad=grad)
         s0 = State(np.array([0.3, -0.2]), np.array([0.1, 0.4]))
         h = 0.05
-        got = impulse_step(sys, s0, MacroMethod("impulse", h, micro_divisor=1))
+        got = macro_step(sys, s0, MacroMethod("impulse", h, micro_divisor=1))
         # direct kick-drift-kick with the slow force
         y_half = s0.y - 0.5 * h * grad(s0.x)
         x1 = s0.x + h * y_half
@@ -306,16 +309,16 @@ class TestMacroSteps:
         x = np.array([s, -s, math.sqrt(2.0), 0.0])
         state = State(x, np.array([0.1, 0.2, -0.3, 0.4]))
         h = 0.01
-        a = mollified_impulse_step(pendulum, state, MacroMethod("mollified", h))
-        b = projected_impulse_step(pendulum, state, MacroMethod("projected", h))
+        a = macro_step(pendulum, state, MacroMethod("mollified", h))
+        b = macro_step(pendulum, state, MacroMethod("projected", h))
         # the first kick agrees exactly on the manifold, so positions match
         # bitwise; the closing kick differs at O(h*eps) off the manifold
         assert np.array_equal(a.x, b.x)
         assert np.max(np.abs(a.y - b.y)) <= 1e-5
 
-    def test_kind_mismatch_rejected(self, pendulum, bench_state):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            impulse_step(pendulum, bench_state, MacroMethod("projected", 0.05))
+            MacroMethod("leapfrog", 0.05)
 
     @pytest.mark.parametrize("kind", ["projected", "mollified", "impulse"])
     def test_time_reversal_symmetry(self, kind):
@@ -325,13 +328,12 @@ class TestMacroSteps:
 
         s0 = benchmark_initial_state(eps)
         method = MacroMethod(kind, 0.01)
-        step = step_function(kind)
         state = s0.copy()
         for _ in range(100):
-            state = step(sys, state, method)
+            state = macro_step(sys, state, method)
         state = State(state.x, -state.y, 0.0)
         for _ in range(100):
-            state = step(sys, state, method)
+            state = macro_step(sys, state, method)
         err = max(
             float(np.max(np.abs(state.x - s0.x))),
             float(np.max(np.abs(-state.y - s0.y))),
@@ -347,8 +349,8 @@ class TestMacroSteps:
             sys = make_double_pendulum(eps)
             s0 = benchmark_initial_state(eps)
             h = 0.01
-            a = mollified_impulse_step(sys, s0, MacroMethod("mollified", h))
-            b = projected_impulse_step(sys, s0, MacroMethod("projected", h))
+            a = macro_step(sys, s0, MacroMethod("mollified", h))
+            b = macro_step(sys, s0, MacroMethod("projected", h))
             diffs[eps] = max(
                 float(np.max(np.abs(a.x - b.x))), float(np.max(np.abs(a.y - b.y)))
             )
@@ -371,7 +373,9 @@ class TestEnergyConservation:
 
         def max_drift(t_end):
             traj = integrate(sys, s0, method, t_end, stride=5)
-            return max(abs(hamiltonian(sys, st) - e0) for st, _ in traj.samples)
+            return max(
+                abs(hamiltonian(sys, State(x, y)) - e0) for x, y in zip(traj.x, traj.y)
+            )
 
         short = max_drift(10.0)
         long = max_drift(100.0)
@@ -382,20 +386,21 @@ class TestEnergyConservation:
 class TestIntegrate:
     def test_short_horizon_initial_sample_only(self, pendulum, bench_state):
         traj = integrate(pendulum, bench_state, MacroMethod("projected", 0.05), 0.02)
-        assert len(traj.samples) == 1
-        assert traj.samples[0][0].t == 0.0
+        assert len(traj.t) == len(traj.x) == len(traj.records) == 1
+        assert traj.t[0] == 0.0
 
     def test_deterministic_reruns(self, pendulum, bench_state):
         method = MacroMethod("mollified", 0.05)
         a = integrate(pendulum, bench_state, method, 0.5)
         b = integrate(pendulum, bench_state, method, 0.5)
-        assert np.array_equal(a.positions(), b.positions())
-        assert np.array_equal(a.momenta(), b.momenta())
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
 
     def test_benchmark_horizon_step_count(self, pendulum, bench_state):
         traj = integrate(pendulum, bench_state, MacroMethod("projected", 0.05), 10.0)
-        times = traj.times()
+        times = traj.t
         assert len(times) == 201
+        assert traj.x.shape == traj.y.shape == (201, 4)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(10.0, abs=1e-12)
         assert np.all(np.diff(times) > 0)
@@ -405,7 +410,7 @@ class TestIntegrate:
             pendulum, bench_state, MacroMethod("projected", 0.05), 0.5, stride=3
         )
         # steps 0, 3, 6, 9 and the final 10th
-        assert [round(t / 0.05) for t in traj.times()] == [0, 3, 6, 9, 10]
+        assert [round(t / 0.05) for t in traj.t] == [0, 3, 6, 9, 10]
 
     def test_step_failure_carries_partial_trajectory(self, bench_state):
         sys = make_double_pendulum(1e-2)
@@ -422,7 +427,7 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(sys, bench_state, MacroMethod("impulse", 0.05), 1.0)
         assert err.value.partial is not None
-        assert len(err.value.partial.samples) >= 1
+        assert len(err.value.partial.t) >= 1
         assert err.value.time is not None
 
 
@@ -441,7 +446,7 @@ def counting(kick_force, calls, fail_at=None):
 
 class TestKickForceReuse:
     """integrate evaluates each boundary kick force once and reuses it as
-    the next step's opening force; the run stays the step functions'."""
+    the next step's opening force; the run stays macro_step's."""
 
     @staticmethod
     def cases():
@@ -455,20 +460,19 @@ class TestKickForceReuse:
     @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
     def test_matches_manual_loop_bitwise(self, kind):
         method = MacroMethod(kind, 0.05)
-        step = step_function(kind)
         for sys, s0 in self.cases():
             traj = integrate(sys, s0, method, 0.5)
             state = s0.copy()
             want = [state]
             for k in range(1, 11):
-                state = step(sys, state, method)
+                state = macro_step(sys, state, method)
                 state.t = s0.t + k * method.h
                 want.append(state)
-            assert len(traj.samples) == len(want)
-            for (got, _), ref in zip(traj.samples, want):
-                assert np.array_equal(got.x, ref.x)
-                assert np.array_equal(got.y, ref.y)
-                assert got.t == ref.t
+            assert len(traj.t) == len(want)
+            for t, x, y, ref in zip(traj.t, traj.x, traj.y, want):
+                assert np.array_equal(x, ref.x)
+                assert np.array_equal(y, ref.y)
+                assert t == ref.t
 
     @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
     def test_one_kick_force_per_step_plus_one(self, kind, monkeypatch, bench_state):
@@ -480,8 +484,8 @@ class TestKickForceReuse:
         traj = integrate(sys, bench_state, MacroMethod(kind, 0.05), 0.35)
         assert len(calls) == 7 + 1
         # one force at the start and one at every step's end
-        for x, (st, _) in zip(calls, traj.samples, strict=True):
-            assert np.array_equal(x, st.x)
+        for x, want in zip(calls, traj.x, strict=True):
+            assert np.array_equal(x, want)
         calls.clear()
         integrate(sys, bench_state, MacroMethod(kind, 0.05), 0.02)
         assert calls == []
@@ -509,12 +513,12 @@ class TestKickForceReuse:
         state = bench_state.copy()
         want = [state]
         for k in (1, 2):
-            state = step_function(kind)(sys, state, method)
+            state = macro_step(sys, state, method)
             state.t = k * method.h
             want.append(state)
-        got = err.value.partial.samples
-        assert len(got) == len(want)
-        for (st, _), ref in zip(got, want):
-            assert np.array_equal(st.x, ref.x)
-            assert np.array_equal(st.y, ref.y)
-            assert st.t == ref.t
+        got = err.value.partial
+        assert len(got.t) == len(want)
+        for t, x, y, ref in zip(got.t, got.x, got.y, want):
+            assert np.array_equal(x, ref.x)
+            assert np.array_equal(y, ref.y)
+            assert t == ref.t

@@ -11,9 +11,76 @@ from oscint import (
     make_spring_chain,
 )
 from oscint.integrators import integrate_micro
-from oscint.model import State
+from oscint.model import StiffSpringChain, State, _spring_block, _spring_contract
 
 from conftest import np_hess_chain, np_hess_double_pendulum, sample_states
+
+
+class DoublePendulumOracle:
+    """The two-spring chain written out by hand: bob 1 tied to the
+    origin, bob 2 to bob 1, x = (bob1_x, bob1_y, bob2_x, bob2_y).  The
+    independent oracle the chain must match bit for bit."""
+
+    def __init__(self, alpha1, alpha2, l1, l2):
+        self.alpha1, self.alpha2, self.l1, self.l2 = alpha1, alpha2, l1, l2
+
+    def _lengths(self, x):
+        r1 = math.hypot(x[0], x[1])
+        d0 = x[2] - x[0]
+        d1 = x[3] - x[1]
+        return r1, d0, d1, math.hypot(d0, d1)
+
+    def slow_potential(self, x):
+        return x[1] + x[3]
+
+    def grad_slow(self, x):
+        return np.array([0.0, 1.0, 0.0, 1.0])
+
+    def stiff_potential(self, x):
+        r1, _, _, r2 = self._lengths(x)
+        return 0.5 * (self.alpha1 * (r1 - self.l1)) ** 2 + 0.5 * (
+            self.alpha2 * (r2 - self.l2)
+        ) ** 2
+
+    def grad_stiff(self, x):
+        r1, d0, d1, r2 = self._lengths(x)
+        c1 = self.alpha1 ** 2 * (r1 - self.l1) / r1
+        c2 = self.alpha2 ** 2 * (r2 - self.l2) / r2
+        return np.array([c1 * x[0] - c2 * d0, c1 * x[1] - c2 * d1, c2 * d0, c2 * d1])
+
+    def hess_stiff(self, x):
+        r1, d0, d1, r2 = self._lengths(x)
+        p00, p01, p11 = _spring_block(self.alpha1 ** 2, self.l1, x[0], x[1], r1)
+        q00, q01, q11 = _spring_block(self.alpha2 ** 2, self.l2, d0, d1, r2)
+        return np.array([
+            [p00 + q00, p01 + q01, -q00, -q01],
+            [p01 + q01, p11 + q11, -q01, -q11],
+            [-q00, -q01, q00, q01],
+            [-q01, -q11, q01, q11],
+        ])
+
+    def hess_stiff_contract(self, x, v):
+        r1, d0, d1, r2 = self._lengths(x)
+        p0, p1 = _spring_contract(self.alpha1 ** 2, self.l1, x[0], x[1], r1, v[0], v[1])
+        q0, q1 = _spring_contract(
+            self.alpha2 ** 2, self.l2, d0, d1, r2, v[2] - v[0], v[3] - v[1]
+        )
+        return np.array([p0 - q0, p1 - q1, q0, q1])
+
+    def constraint(self, x):
+        r1, _, _, r2 = self._lengths(x)
+        return np.array([r1 - self.l1, r2 - self.l2])
+
+    def constraint_jacobian(self, x):
+        r1, d0, d1, r2 = self._lengths(x)
+        jac = np.zeros((2, 4))
+        jac[0, 0] = x[0] / r1
+        jac[0, 1] = x[1] / r1
+        jac[1, 0] = -d0 / r2
+        jac[1, 1] = -d1 / r2
+        jac[1, 2] = d0 / r2
+        jac[1, 3] = d1 / r2
+        return jac
 
 
 def independent_energy(x, y, eps, a1=1.0, a2=1.0, l1=1.0, l2=1.0):
@@ -114,30 +181,27 @@ class TestSpringChain:
         assert np.allclose(chain.constraint(x), [0.0], atol=1e-15)
         assert chain.slow_potential(x) == x[1]
 
-    def test_matches_double_pendulum_bitwise(self, pendulum):
-        chain = make_spring_chain(2, 1e-2, [1.0, 1.0], [1.0, 1.0])
+    def test_matches_double_pendulum_bitwise(self):
         rng = np.random.default_rng(36)
-        for state in sample_states(pendulum, 50, seed=37):
-            x = state.x
-            v = rng.standard_normal(4)
-            assert np.array_equal(
-                chain.hess_stiff_contract(x, v), pendulum.hess_stiff_contract(x, v)
-            )
-            assert chain.slow_potential(x) == pendulum.slow_potential(x)
-            assert chain.stiff_potential(x) == pendulum.stiff_potential(x)
-            assert np.array_equal(chain.grad_stiff(x), pendulum.grad_stiff(x))
-            assert np.array_equal(chain.grad_slow(x), pendulum.grad_slow(x))
-            assert np.array_equal(chain.constraint(x), pendulum.constraint(x))
-            assert np.array_equal(
-                chain.constraint_jacobian(x), pendulum.constraint_jacobian(x)
-            )
-
-    def test_chain_hessian_matches_double_pendulum(self, pendulum):
-        chain = make_spring_chain(2, 1e-2, [1.0, 1.0], [1.0, 1.0])
-        for state in sample_states(pendulum, 10, seed=38):
-            assert np.allclose(
-                chain.hess_stiff(state.x), pendulum.hess_stiff(state.x), atol=1e-14
-            )
+        for params in ((1.0, 1.0, 1.0, 1.0), (1.7, 0.6, 1.2, 0.8)):
+            chain = make_double_pendulum(1e-2, *params)
+            assert isinstance(chain, StiffSpringChain)
+            oracle = DoublePendulumOracle(*params)
+            for state in sample_states(chain, 50, seed=37):
+                x = state.x
+                v = rng.standard_normal(4)
+                assert np.array_equal(
+                    chain.hess_stiff_contract(x, v), oracle.hess_stiff_contract(x, v)
+                )
+                assert chain.slow_potential(x) == oracle.slow_potential(x)
+                assert chain.stiff_potential(x) == oracle.stiff_potential(x)
+                assert np.array_equal(chain.grad_stiff(x), oracle.grad_stiff(x))
+                assert np.array_equal(chain.hess_stiff(x), oracle.hess_stiff(x))
+                assert np.array_equal(chain.grad_slow(x), oracle.grad_slow(x))
+                assert np.array_equal(chain.constraint(x), oracle.constraint(x))
+                assert np.array_equal(
+                    chain.constraint_jacobian(x), oracle.constraint_jacobian(x)
+                )
 
     def test_float_hessians_match_outer_product_formula_bitwise(self):
         rng = np.random.default_rng(39)
@@ -205,8 +269,7 @@ class TestExactFlowConservation:
         h_micro = eps / 1000
         nsteps = int(round(1.0 / h_micro))
         traj = integrate_micro(sys, s0, h_micro, nsteps, sample_stride=nsteps // 100)
-        e0 = hamiltonian(sys, traj.samples[0][0])
-        drift = max(
-            abs(hamiltonian(sys, state) - e0) for state, _ in traj.samples
-        )
+        energies = [hamiltonian(sys, State(x, y)) for x, y in zip(traj.x, traj.y)]
+        drift = max(abs(e - energies[0]) for e in energies)
+        e0 = energies[0]
         assert drift / abs(e0) <= 1e-4
