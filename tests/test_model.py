@@ -203,6 +203,12 @@ class TestSpringChain:
                     chain.constraint_jacobian(x), oracle.constraint_jacobian(x)
                 )
 
+    def test_chain_hessian_matches_double_pendulum(self, pendulum):
+        chain = make_spring_chain(2, 1e-2, [1.0, 1.0], [1.0, 1.0])
+        oracle = DoublePendulumOracle(1.0, 1.0, 1.0, 1.0)
+        for state in sample_states(pendulum, 10, seed=38):
+            assert np.allclose(chain.hess_stiff(state.x), oracle.hess_stiff(state.x), atol=1e-14)
+
     def test_float_hessians_match_outer_product_formula_bitwise(self):
         rng = np.random.default_rng(39)
         for params in ((1.0, 1.0, 1.0, 1.0), (1.7, 0.6, 1.2, 0.8)):
