@@ -23,7 +23,6 @@ from .effective import (
 )
 from .geometry import (
     ManifoldProjection,
-    ProjectionPair,
     RankDeficient,
     consistent_state,
     momentum_projector,

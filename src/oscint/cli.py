@@ -65,17 +65,7 @@ def build_parser():
 
 def _merged_config(args) -> SweepConfig:
     cfg = harness.load_config(args.config) if args.config else SweepConfig()
-    for name in (
-        "out",
-        "epsilon",
-        "t_end",
-        "methods",
-        "stepsizes",
-        "micro_divisor",
-        "h_ref",
-        "stride",
-        "workers",
-    ):
+    for name in SweepConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -117,7 +107,7 @@ def main(argv=None) -> int:
             path = harness.run_single(cfg)
             print(f"wrote {path}")
             return 0
-        results, passed = harness.run_check(cfg, inject_fault=getattr(args, "inject_fault", None))
+        results, passed = harness.run_check(inject_fault=getattr(args, "inject_fault", None))
         harness.print_check_report(results)
         return 0 if passed else 1
     except ConfigError as exc:

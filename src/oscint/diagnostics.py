@@ -36,13 +36,10 @@ class DiagnosticsRecord:
 
 @dataclass
 class ErrorMetrics:
-    """Max-norm errors against a reference, per sample time and overall."""
+    """Max-norm errors against a reference, maximal over the samples."""
 
     max_err_x: float
     max_err_py: float
-    times: np.ndarray
-    err_x: np.ndarray
-    err_py: np.ndarray
 
 
 def _mode_split(sys, x, y):
@@ -186,13 +183,7 @@ def error_metrics(traj: Trajectory, ref: Trajectory, sys: OscillatorySystem) -> 
     err_py = np.empty(t_q.size)
     for i, (x, y) in enumerate(zip(traj.x, traj.y)):
         err_x[i] = float(np.max(np.abs(x - x_ref[i])))
-        p_traj = momentum_projector(sys, x).tangent @ y
-        p_ref = momentum_projector(sys, x_ref[i]).tangent @ y_ref[i]
+        p_traj = momentum_projector(sys, x) @ y
+        p_ref = momentum_projector(sys, x_ref[i]) @ y_ref[i]
         err_py[i] = float(np.max(np.abs(p_traj - p_ref)))
-    return ErrorMetrics(
-        max_err_x=float(np.max(err_x)),
-        max_err_py=float(np.max(err_py)),
-        times=t_q,
-        err_x=err_x,
-        err_py=err_py,
-    )
+    return ErrorMetrics(float(np.max(err_x)), float(np.max(err_py)))

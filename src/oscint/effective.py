@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +40,12 @@ class FrequencySet(NamedTuple):
 class EffectiveState:
     """Constrained phase-space point with its frozen actions.
 
-    x sits on the manifold, y is tangential (G M^-1 y = 0), multiplier
-    holds the most recent constraint-force multiplier, actions stays
-    constant for the whole run.
+    x sits on the manifold, y is tangential (G M^-1 y = 0), actions
+    stays constant for the whole run.
     """
 
     x: np.ndarray
     y: np.ndarray
-    multiplier: np.ndarray
     actions: np.ndarray
     t: float = 0.0
 
@@ -154,7 +152,7 @@ def _rattle_step_cached(sys, es, h, force0):
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"velocity-stage system not SPD: {exc}") from exc
     y1 = y_free - 0.5 * h * (jac1.T @ mu)
-    nxt = EffectiveState(x1, y1, lam, es.actions, es.t + h)
+    nxt = EffectiveState(x1, y1, es.actions, es.t + h)
     return nxt, force1
 
 
@@ -181,7 +179,6 @@ def effective_reference(
     h_ref: float,
     t_end: float,
     stride: int = 1,
-    actions: Optional[np.ndarray] = None,
     with_records: bool = True,
 ) -> Trajectory:
     """Reference trajectory of the constrained effective dynamics.
@@ -192,11 +189,9 @@ def effective_reference(
     """
     from .diagnostics import DiagnosticsRecord, compute_actions, resonance_monitor
 
-    if actions is None:
-        actions = compute_actions(sys, x0, y0)
-    actions = np.asarray(actions, dtype=float)
+    actions = compute_actions(sys, x0, y0)
     xc, yc = consistent_state(sys, x0, y0)
-    es = EffectiveState(xc, yc, np.zeros(sys.m), actions, 0.0)
+    es = EffectiveState(xc, yc, actions, 0.0)
 
     def record(st):
         if not with_records:

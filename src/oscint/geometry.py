@@ -24,18 +24,6 @@ class RankDeficient(Exception):
 
 
 @dataclass
-class ProjectionPair:
-    """Complementary oblique projectors at a configuration.
-
-    tangent removes the constraint-normal momentum component,
-    normal = I - tangent keeps it; G M^-1 tangent = 0.
-    """
-
-    tangent: np.ndarray
-    normal: np.ndarray
-
-
-@dataclass
 class ManifoldProjection:
     """Result of projecting a position onto the constraint manifold.
 
@@ -49,21 +37,21 @@ class ManifoldProjection:
     jacobian_t: Optional[np.ndarray] = None
 
 
-def momentum_projector(sys: OscillatorySystem, x) -> ProjectionPair:
-    """Projector pair (I - G^T S^-1 G M^-1, G^T S^-1 G M^-1) with
-    S = G M^-1 G^T, all evaluated at x."""
+def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
+    """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
+    all evaluated at x.  P removes the constraint-normal momentum
+    component: G M^-1 P = 0."""
     x = np.asarray(x, dtype=float)
     n = sys.n
     if sys.m == 0:
-        return ProjectionPair(np.eye(n), np.zeros((n, n)))
+        return np.eye(n)
     jac = sys.constraint_jacobian(x)
     try:
         minv_gt = mass_solve(sys, x, jac.T)  # n x m
         coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
-    normal = jac.T @ coeff
-    return ProjectionPair(np.eye(n) - normal, normal)
+    return np.eye(n) - jac.T @ coeff
 
 
 def project_to_manifold(
@@ -101,7 +89,7 @@ def project_to_manifold(
     if want_jacobian:
         if not np.any(lam):
             # at lam = 0 the implicit Jacobian collapses to the projector
-            jac_t = momentum_projector(sys, x).tangent
+            jac_t = momentum_projector(sys, x)
         else:
             jac_t = _projection_jacobian_t(sys, x, position, lam, minv_gt)
     return ManifoldProjection(position, lam, jac_t)
@@ -150,5 +138,4 @@ def consistent_state(sys: OscillatorySystem, x0, y0):
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     pos = project_to_manifold(sys, x0).position
-    proj = momentum_projector(sys, pos)
-    return pos, proj.tangent @ y0
+    return pos, momentum_projector(sys, pos) @ y0

@@ -15,7 +15,7 @@ import os
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -71,14 +71,18 @@ class SweepConfig:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
-        if self.micro_divisor < 1:
-            raise ConfigError("micro_divisor must be >= 1")
         if self.h_ref <= 0.0:
             raise ConfigError("h_ref must be positive")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for h in [*self.stepsizes, self.h_ref]:
+            # the integrators round t_end / h to the step count, so a step
+            # that does not divide t_end ends the run before or after it
+            n = self.t_end / h
+            if not math.isfinite(n) or abs(round(n) * h - self.t_end) > 1e-9 * self.t_end:
+                raise ConfigError(f"step {h!r} does not divide t_end {self.t_end!r}")
+        for name in ("micro_divisor", "stride", "workers"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
         build_system(self)  # fail fast on bad model parameters
         return self
 
@@ -125,8 +129,11 @@ def initial_state(cfg: SweepConfig, sys) -> State:
         x0 = base.x
     elif x0 is None:
         raise ConfigError("spring_chain config requires model_params.x0")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.zeros(sys.n) if y0 is None else np.asarray(y0, dtype=float)
+    try:
+        x0 = np.asarray(x0, dtype=float)
+        y0 = np.zeros(sys.n) if y0 is None else np.asarray(y0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial state is not numeric: {exc}") from exc
     if x0.shape != (sys.n,) or y0.shape != (sys.n,):
         raise ConfigError(f"initial state must have dimension {sys.n}")
     return State(x0, y0, 0.0)
@@ -153,54 +160,68 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_rows_csv(path, rows: Sequence[SweepRow]):
+def _write_csv(path, header, rows):
+    """Header and rows as CSV: strings as they are, numbers with _fmt."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,h,max_err_x,max_err_Py,max_action_drift,status\n")
-        for r in rows:
-            fh.write(
-                f"{r.method},{_fmt(r.h)},{_fmt(r.max_err_x)},{_fmt(r.max_err_py)},"
-                f"{_fmt(r.max_action_drift)},{r.status}\n"
-            )
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
-def _run_one(payload):
-    """One (method, h) run against a precomputed reference.
+def write_rows_csv(path, rows: Sequence[SweepRow]):
+    _write_csv(
+        path,
+        ["method", "h", "max_err_x", "max_err_Py", "max_action_drift", "status"],
+        [(r.method, r.h, r.max_err_x, r.max_err_py, r.max_action_drift, r.status) for r in rows],
+    )
 
-    Module-level so process pools can pickle it; rebuilds the model and
-    returns a plain tuple.
+
+def _run_one(job):
+    """One (method, h) run; returns (SweepRow, sample records).
+
+    job is (system, start state, config, kind, h, reference); the errors
+    are measured only against a reference that is not None.  A failed
+    run becomes a row tagged with the exception name, its figures nan
+    and its records None, and the study goes on.  Module-level so that
+    process pools can pickle it.
     """
-    (cfg_dict, kind, h, ref) = payload
-    cfg = config_from_dict(cfg_dict)
-    sys = build_system(cfg)
-    s0 = initial_state(cfg, sys)
+    sys, s0, cfg, kind, h, ref = job
     method = MacroMethod(kind, h, cfg.micro_divisor)
     observer = diagnostics.make_observer(sys)
     start = time.perf_counter()
+    err_x = err_py = math.nan
     try:
         traj = integrate(sys, s0, method, cfg.t_end, observer=observer, stride=cfg.stride)
         drift = diagnostics.action_drift(traj.records)
-        metrics = diagnostics.error_metrics(traj, ref, sys)
-        err_x = metrics.max_err_x
-        err_py = metrics.max_err_py
+        if ref is not None:
+            metrics = diagnostics.error_metrics(traj, ref, sys)
+            err_x, err_py = metrics.max_err_x, metrics.max_err_py
+        records = traj.records
         status = "ok"
-    except Exception as exc:  # failed runs become tagged rows, the sweep goes on
-        err_x = math.nan
-        err_py = math.nan
+    except Exception as exc:
         drift = math.nan
+        records = None
         status = type(exc).__name__
     wall = time.perf_counter() - start
-    return (kind, h, err_x, err_py, drift, wall, status)
+    return SweepRow(kind, h, err_x, err_py, drift, wall, status), records
 
 
-def _config_payload(cfg: SweepConfig) -> dict:
-    return dict(asdict(cfg), workers=1)
-
-
-def _run_jobs(cfg, payloads):
+def _run_jobs(cfg, sys, s0, ref=None):
+    """_run_one for every configured method at every stepsize, in
+    configured order, on cfg.workers processes."""
+    jobs = [(sys, s0, cfg, kind, h, ref) for kind in cfg.methods for h in cfg.stepsizes]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(_run_one, payloads))
-    return [_run_one(p) for p in payloads]
+            return list(pool.map(_run_one, jobs))
+    return [_run_one(job) for job in jobs]
+
+
+def _reference_and_guard(sys, s0, h_ref, t_end):
+    """Reference trajectory at h_ref, and the largest change of its
+    positions when h_ref is halved."""
+    ref = effective.effective_reference(sys, s0.x, s0.y, h_ref, t_end, with_records=False)
+    ref2 = effective.effective_reference(sys, s0.x, s0.y, 0.5 * h_ref, t_end, with_records=False)
+    return ref, diagnostics.error_metrics(ref, ref2, sys).max_err_x
 
 
 def run_convergence_sweep(cfg: SweepConfig) -> SweepResult:
@@ -213,20 +234,8 @@ def run_convergence_sweep(cfg: SweepConfig) -> SweepResult:
     cfg.validate()
     sys = build_system(cfg)
     s0 = initial_state(cfg, sys)
-    ref = effective.effective_reference(
-        sys, s0.x, s0.y, cfg.h_ref, cfg.t_end, with_records=False
-    )
-    ref2 = effective.effective_reference(
-        sys, s0.x, s0.y, 0.5 * cfg.h_ref, cfg.t_end, with_records=False
-    )
-    guard = diagnostics.error_metrics(ref, ref2, sys).max_err_x
-    cfg_dict = _config_payload(cfg)
-    payloads = [
-        (cfg_dict, kind, h, ref)
-        for kind in cfg.methods
-        for h in cfg.stepsizes
-    ]
-    rows = [SweepRow(*out) for out in _run_jobs(cfg, payloads)]
+    ref, guard = _reference_and_guard(sys, s0, cfg.h_ref, cfg.t_end)
+    rows = [row for row, _ in _run_jobs(cfg, sys, s0, ref)]
     write_rows_csv(cfg.out, rows)
     return SweepResult(rows=rows, reference_guard=guard)
 
@@ -242,30 +251,18 @@ def run_action_study(cfg: SweepConfig) -> SweepResult:
         raise ConfigError("action study expects exactly one stepsize")
     sys = build_system(cfg)
     s0 = initial_state(cfg, sys)
-    h = cfg.stepsizes[0]
-    observer = diagnostics.make_observer(sys)
-    rows = []
-    series = []
-    for kind in cfg.methods:
-        method = MacroMethod(kind, h, cfg.micro_divisor)
-        start = time.perf_counter()
-        try:
-            traj = integrate(sys, s0, method, cfg.t_end, observer=observer, stride=cfg.stride)
-            drift = diagnostics.action_drift(traj.records)
-            series.append((kind, traj.records))
-            status = "ok"
-        except Exception as exc:
-            drift = math.nan
-            status = type(exc).__name__
-        wall = time.perf_counter() - start
-        rows.append(SweepRow(kind, h, math.nan, math.nan, drift, wall, status))
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-        labels = ",".join(f"I{k}" for k in range(sys.m))
-        fh.write(f"method,h,t,{labels}\n")
-        for kind, records in series:
-            for rec in records:
-                acts = ",".join(_fmt(v) for v in rec.actions)
-                fh.write(f"{kind},{_fmt(h)},{_fmt(rec.t)},{acts}\n")
+    results = _run_jobs(cfg, sys, s0)
+    _write_csv(
+        cfg.out,
+        ["method", "h", "t"] + [f"I{k}" for k in range(sys.m)],
+        [
+            (row.method, row.h, rec.t, *rec.actions)
+            for row, records in results
+            if records is not None
+            for rec in records
+        ],
+    )
+    rows = [row for row, _ in results]
     write_rows_csv(_summary_path(cfg.out), rows)
     return SweepResult(rows=rows)
 
@@ -292,18 +289,15 @@ def run_single(cfg: SweepConfig) -> str:
         + [f"I{k}" for k in range(sys.m)]
         + ["min_gap", "min_combo", "constraint_residual"]
     )
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, x, y, rec in zip(traj.t, traj.x, traj.y, traj.records):
-            vals = (
-                [t]
-                + list(x)
-                + list(y)
-                + [rec.energy]
-                + list(rec.actions)
-                + [rec.min_gap, rec.min_combo, rec.constraint_residual]
-            )
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+    _write_csv(
+        cfg.out,
+        header,
+        [
+            [t, *x, *y, rec.energy, *rec.actions, rec.min_gap, rec.min_combo,
+             rec.constraint_residual]
+            for t, x, y, rec in zip(traj.t, traj.x, traj.y, traj.records)
+        ],
+    )
     return cfg.out
 
 
@@ -398,8 +392,7 @@ def _check_geometry(eps=1e-2, count=50):
     states = random_bounded_energy_states(sys, count, seed=77)
     worst_idem = worst_ann = worst_moll = 0.0
     for st in states:
-        proj = geometry.momentum_projector(sys, st.x)
-        p = proj.tangent
+        p = geometry.momentum_projector(sys, st.x)
         worst_idem = max(worst_idem, float(np.max(np.abs(p @ p - p))))
         jac = sys.constraint_jacobian(st.x)
         worst_ann = max(worst_ann, float(np.max(np.abs(jac @ p))))
@@ -414,7 +407,7 @@ def _mollifier_jacobian_gap(eps, count=50):
     worst = 0.0
     for st in states:
         moll = geometry.project_to_manifold(sys, st.x, want_jacobian=True)
-        p = geometry.momentum_projector(sys, st.x).tangent
+        p = geometry.momentum_projector(sys, st.x)
         worst = max(worst, float(np.max(np.abs(moll.jacobian_t - p))))
     return worst
 
@@ -434,17 +427,7 @@ def _check_reversibility(kind, eps=1e-2, h=0.01, nsteps=100):
     )
 
 
-def _check_reference_guard(eps=1e-2, t_end=2.0, h_ref=1e-3):
-    sys = model.make_double_pendulum(eps)
-    s0 = model.benchmark_initial_state(eps)
-    ref = effective.effective_reference(sys, s0.x, s0.y, h_ref, t_end, with_records=False)
-    ref2 = effective.effective_reference(
-        sys, s0.x, s0.y, 0.5 * h_ref, t_end, with_records=False
-    )
-    return diagnostics.error_metrics(ref, ref2, sys).max_err_x
-
-
-def run_check(cfg: Optional[SweepConfig] = None, inject_fault: Optional[str] = None):
+def run_check(inject_fault: Optional[str] = None):
     """Desk-scale validation suite.  Returns (results, all_passed)."""
     results: List[CheckResult] = []
 
@@ -479,7 +462,10 @@ def run_check(cfg: Optional[SweepConfig] = None, inject_fault: Optional[str] = N
     add_le("reversibility_mollified", _check_reversibility("mollified"), 1e-8)
 
     # proxy bound: 1% of the epsilon-level floor the macro methods reach
-    add_le("reference_convergence", _check_reference_guard(), 1e-4)
+    _, guard = _reference_and_guard(
+        model.make_double_pendulum(1e-2), model.benchmark_initial_state(1e-2), 1e-3, 2.0
+    )
+    add_le("reference_convergence", guard, 1e-4)
 
     return results, all(r.passed for r in results)
 

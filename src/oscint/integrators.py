@@ -164,7 +164,7 @@ def _kick_force_mollified(sys, x):
 
 
 def _kick_force_projected(sys, x):
-    return momentum_projector(sys, x).tangent @ sys.grad_slow(x)
+    return momentum_projector(sys, x) @ sys.grad_slow(x)
 
 
 _KICK_FORCES = {
@@ -249,7 +249,6 @@ def integrate_micro(
     nsteps: int,
     sample_stride: int,
     observer: Optional[Callable[[OscillatorySystem, State], object]] = None,
-    include_slow: bool = True,
 ) -> Trajectory:
     """Plain leapfrog run of the full system, sampled every
     sample_stride micro steps.  Used for fine reference integrations of
@@ -265,7 +264,7 @@ def integrate_micro(
     done = 0
     while done < nsteps:
         chunk = min(sample_stride, nsteps - done)
-        state = stormer_verlet(sys, state, h_micro, chunk, include_slow=include_slow)
+        state = stormer_verlet(sys, state, h_micro, chunk)
         done += chunk
         state.t = t0 + done * h_micro
         sample(state)

@@ -203,7 +203,7 @@ class TestCriterion6GeometryIdentities:
             sup = 0.0
             for state in sample_states(sys_eps, 100, seed=991):
                 moll = project_to_manifold(sys_eps, state.x, want_jacobian=True)
-                proj = momentum_projector(sys_eps, state.x).tangent
+                proj = momentum_projector(sys_eps, state.x)
                 sup = max(sup, float(np.max(np.abs(moll.jacobian_t - proj))))
                 if eps == 1e-2:
                     worst["idem"] = max(worst["idem"], float(np.max(np.abs(proj @ proj - proj))))

@@ -36,7 +36,7 @@ class TestComputeActions:
     def test_consistent_state_zero_actions(self, pendulum):
         s = math.sqrt(0.5)
         x = np.array([s, -s, math.sqrt(2.0), 0.0])
-        p = momentum_projector(pendulum, x).tangent
+        p = momentum_projector(pendulum, x)
         y = p @ np.array([0.4, -0.1, 0.25, 0.3])
         actions = compute_actions(pendulum, x, y)
         assert np.max(np.abs(actions)) <= 50.0 * pendulum.epsilon ** 2

@@ -153,7 +153,6 @@ class TestRattleStep:
         es = EffectiveState(
             x=np.array([0.0, -1.0]),
             y=np.zeros(2),
-            multiplier=np.zeros(1),
             actions=np.zeros(1),
         )
         nxt = rattle_step(sys, es, 1e-2)
@@ -163,7 +162,7 @@ class TestRattleStep:
     def test_constraint_preservation_long_run(self, pendulum, bench_state):
         actions = compute_actions(pendulum, bench_state.x, bench_state.y)
         xc, yc = consistent_state(pendulum, bench_state.x, bench_state.y)
-        es = EffectiveState(xc, yc, np.zeros(2), actions)
+        es = EffectiveState(xc, yc, actions)
         worst = 0.0
         for _ in range(10_000):
             es = rattle_step(pendulum, es, 1e-3)
@@ -177,7 +176,7 @@ class TestRattleStep:
 
         def advance(h, t_span=0.48):
             # t_span divisible by every h used, so end times coincide
-            es = EffectiveState(xc.copy(), yc.copy(), np.zeros(2), actions)
+            es = EffectiveState(xc.copy(), yc.copy(), actions)
             for _ in range(int(round(t_span / h))):
                 es = rattle_step(pendulum, es, h)
             return es.x
@@ -196,7 +195,7 @@ class TestEffectiveReference:
         rec = traj.records[0]
         assert np.max(np.abs(rec.actions)) <= 1e-10
         # rerun with the correction force forcibly disabled
-        es = EffectiveState(*consistent_state(pendulum, x0, np.zeros(4)), np.zeros(2), np.zeros(2))
+        es = EffectiveState(*consistent_state(pendulum, x0, np.zeros(4)), np.zeros(2))
         for _ in range(200):
             es = rattle_step(pendulum, es, 1e-3)
         assert np.max(np.abs(traj.x[-1] - es.x)) <= 1e-12
@@ -233,7 +232,7 @@ class TestEffectiveReference:
     def test_effective_energy_definition(self, pendulum, bench_state):
         actions = compute_actions(pendulum, bench_state.x, bench_state.y)
         xc, yc = consistent_state(pendulum, bench_state.x, bench_state.y)
-        es = EffectiveState(xc, yc, np.zeros(2), actions)
+        es = EffectiveState(xc, yc, actions)
         om = frequencies(pendulum, xc).omegas
         expected = (
             0.5 * float(yc @ yc)

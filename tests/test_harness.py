@@ -26,6 +26,14 @@ def small_config(tmp_path, **over):
     return config_from_dict(base)
 
 
+# a short converge run, so that a bad value let through fails fast
+SHORT = dict(epsilon=0.01, methods=["projected"], stepsizes=[0.1], t_end=0.2, h_ref=0.005)
+
+
+def short_json(**over):
+    return json.dumps(dict(SHORT, **over))
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = SweepConfig()
@@ -209,9 +217,30 @@ class TestActionStudy:
         assert len(summary) == 3
 
     def test_single_stepsize_enforced(self, tmp_path):
-        cfg = small_config(tmp_path, stepsizes=[0.2, 0.1])
-        with pytest.raises(ConfigError):
+        cfg = small_config(tmp_path, stepsizes=[0.2, 0.1], t_end=0.4)
+        with pytest.raises(ConfigError, match="exactly one stepsize"):
             harness.run_action_study(cfg)
+
+    def test_workers_use_the_pool_and_match_serial(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            cfg = small_config(
+                tmp_path, methods=["projected", "impulse"], stepsizes=[0.1],
+                t_end=0.5, out=str(out), workers=workers,
+            )
+            harness.run_action_study(cfg)
+            outputs[workers] = (out.read_bytes(), (tmp_path / f"w{workers}.summary.csv").read_bytes())
+        assert pools == [{"max_workers": 2}]
+        assert outputs[2] == outputs[1]
 
     def test_summary_path(self):
         assert harness._summary_path("out.csv") == "out.summary.csv"
@@ -327,8 +356,23 @@ class TestCli:
         assert not (tmp_path / "runs.summary.csv").exists()
 
     @pytest.mark.parametrize(
-        "raw", ['{"epsilon": "0.01"}', '{"stepsizes": 0.1}', "5", '{"model_params": 5}'],
-        ids=["string-epsilon", "scalar-stepsizes", "non-object", "scalar-model-params"],
+        "raw",
+        [
+            '{"epsilon": "0.01"}', '{"stepsizes": 0.1}', "5", '{"model_params": 5}',
+            short_json(model_params={"x0": "abc"}),
+            short_json(model_params={"y0": [0.0, 0.0, "a", 0.0]}),
+            short_json(workers=1.5),
+            short_json(workers=True),
+            short_json(stride=1.5),
+            short_json(micro_divisor=2.5),
+            short_json(t_end=0.25),
+            short_json(h_ref=0.003),
+        ],
+        ids=[
+            "string-epsilon", "scalar-stepsizes", "non-object", "scalar-model-params",
+            "string-x0", "string-in-y0", "float-workers", "bool-workers", "float-stride",
+            "float-micro-divisor", "stepsize-not-dividing-t-end", "h-ref-not-dividing-t-end",
+        ],
     )
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, raw):
         path = tmp_path / "cfg.json"
