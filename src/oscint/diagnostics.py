@@ -15,7 +15,7 @@ import numpy as np
 from .effective import frequencies
 from .geometry import momentum_projector, project_to_manifold
 from .integrators import Trajectory
-from .model import OscillatorySystem, State, hamiltonian
+from .model import OscillatorySystem, State, hamiltonian, has_identity_mass
 
 
 class TimeMismatch(Exception):
@@ -42,23 +42,28 @@ class ErrorMetrics:
     max_err_py: float
 
 
-def _mode_split(sys, x, y):
+def _mode_split(sys, x, y, pos=None):
     """(projected position, frequency set, actions) of a raw state.
 
-    The position is projected onto the manifold; the offset from it,
-    expressed in the mass-orthonormal pencil modes, carries the fast
-    oscillation.  Each mode's action is its energy over its frequency:
+    The position is projected onto the manifold, unless the caller
+    passes that projection as pos; the offset from it, expressed in the
+    mass-orthonormal pencil modes, carries the fast oscillation.  Each
+    mode's action is its energy over its frequency:
 
         c_k = v_k^T M (x - X),  cdot_k = v_k^T y,
         I_k = (cdot_k^2 / 2 + (omega_k/eps)^2 c_k^2 / 2) / omega_k.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pos = project_to_manifold(sys, x).position
+    if pos is None:
+        pos = project_to_manifold(sys, x).position
     fset = frequencies(sys, pos)
     if sys.m == 0:
         return pos, fset, np.zeros(0)
-    coords = fset.vectors.T @ (sys.mass_matrix(pos) @ (x - pos))
+    offset = x - pos
+    if not has_identity_mass(sys, pos):
+        offset = sys.mass_matrix(pos) @ offset
+    coords = fset.vectors.T @ offset
     velocities = fset.vectors.T @ y
     energies = 0.5 * velocities ** 2 + 0.5 * (fset.omegas / sys.epsilon) ** 2 * coords ** 2
     return pos, fset, energies / fset.omegas
@@ -120,10 +125,15 @@ def convexity_check(sys: OscillatorySystem, x) -> float:
 
 
 def make_observer(sys: OscillatorySystem):
-    """Observer producing a DiagnosticsRecord per sampled state."""
+    """Observer producing a DiagnosticsRecord per sampled state.
 
-    def observer(system, state: State) -> DiagnosticsRecord:
-        _, fset, actions = _mode_split(system, state.x, state.y)
+    The observer takes (system, state, position); position is the
+    mass-metric projection of state.x onto the manifold when the caller
+    has it, and None (the default) makes the observer project itself.
+    """
+
+    def observer(system, state: State, position=None) -> DiagnosticsRecord:
+        _, fset, actions = _mode_split(system, state.x, state.y, position)
         gap, combo = resonance_monitor(fset.omegas)
         if system.m:
             residual = float(np.max(np.abs(system.constraint(state.x))))

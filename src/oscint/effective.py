@@ -11,7 +11,6 @@ and serves as the reference for the macro methods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import smallmat
 from .geometry import RankDeficient, consistent_state
-from .integrators import Trajectory
+from .integrators import Trajectory, step_count
 from .model import OscillatorySystem, mass_solve, pencil_eig, require_constant_mass
 
 DEFAULT_GAP_FACTOR = 1e-6
@@ -104,9 +103,13 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
 
 def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
     """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x)."""
+    return _energy_at(sys, es, frequencies(sys, es.x).omegas)
+
+
+def _energy_at(sys, es, omegas):
+    """effective_energy of es with the frequencies omega_k(es.x) given."""
     kinetic = 0.5 * float(es.y @ mass_solve(sys, es.x, es.y))
-    om = frequencies(sys, es.x).omegas
-    return kinetic + sys.slow_potential(es.x) + float(es.actions @ om)
+    return kinetic + sys.slow_potential(es.x) + float(es.actions @ omegas)
 
 
 def _applied_force(sys, x, actions):
@@ -184,7 +187,10 @@ def effective_reference(
     """Reference trajectory of the constrained effective dynamics.
 
     Projects (x0, y0) to consistent data, fixes the actions from the
-    raw initial state, then runs the constrained leapfrog to t_end.
+    raw initial state, then runs the constrained leapfrog to t_end,
+    which must be a whole number of steps h_ref (see
+    integrators.step_count; a shorter horizon keeps the initial sample
+    only).
     Sample records carry the effective energy and constraint residuals.
     """
     from .diagnostics import DiagnosticsRecord, compute_actions, resonance_monitor
@@ -201,14 +207,14 @@ def effective_reference(
         pos_res, mom_res = constraint_residuals(sys, st)
         return DiagnosticsRecord(
             t=st.t,
-            energy=effective_energy(sys, st),
+            energy=_energy_at(sys, st, om),
             actions=st.actions.copy(),
             min_gap=gap,
             min_combo=combo,
             constraint_residual=max(pos_res, mom_res),
         )
 
-    nsteps = 0 if t_end < h_ref else int(math.floor(t_end / h_ref + 0.5))
+    nsteps = 0 if t_end < h_ref else step_count(t_end, h_ref)
     samples = [(es.t, es.x, es.y, record(es))]
     force = None
     for k in range(1, nsteps + 1):

@@ -74,11 +74,10 @@ class SweepConfig:
         if self.h_ref <= 0.0:
             raise ConfigError("h_ref must be positive")
         for h in [*self.stepsizes, self.h_ref]:
-            # the integrators round t_end / h to the step count, so a step
-            # that does not divide t_end ends the run before or after it
-            n = self.t_end / h
-            if not math.isfinite(n) or abs(round(n) * h - self.t_end) > 1e-9 * self.t_end:
-                raise ConfigError(f"step {h!r} does not divide t_end {self.t_end!r}")
+            try:
+                integrators.step_count(self.t_end, h)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         for name in ("micro_divisor", "stride", "workers"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:

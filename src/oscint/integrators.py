@@ -51,6 +51,24 @@ class IntegrationError(Exception):
         self.time = time
 
 
+# observer(sys, state, position) -> record, where position is the
+# mass-metric projection of state.x onto the manifold or None when the
+# integrator has not computed it
+Observer = Callable[[OscillatorySystem, State, Optional[np.ndarray]], object]
+
+
+def step_count(t_end: float, h: float) -> int:
+    """Number n = round(t_end / h) of steps h that make up t_end.
+
+    Raises ValueError unless |n h - t_end| <= 1e-9 t_end: a step that
+    does not divide t_end would end the run before or after it.
+    """
+    n = t_end / h
+    if not math.isfinite(n) or abs(round(n) * h - t_end) > 1e-9 * t_end:
+        raise ValueError(f"step {h!r} does not divide t_end {t_end!r}")
+    return round(n)
+
+
 @dataclass
 class MacroMethod:
     """Macro stepper selection: kind, stepsize h, and the micro divisor
@@ -154,17 +172,22 @@ def fast_flow(
     return stormer_verlet(sys, state, h / nsteps, nsteps, include_slow=False)
 
 
+# Each kick force returns (force, position): position is the mass-metric
+# projection of x onto the manifold when the force needs it anyway (the
+# mollified kick), None otherwise.
+
+
 def _kick_force_impulse(sys, x):
-    return sys.grad_slow(x)
+    return sys.grad_slow(x), None
 
 
 def _kick_force_mollified(sys, x):
     moll = project_to_manifold(sys, x, want_jacobian=True)
-    return moll.jacobian_t @ sys.grad_slow(moll.position)
+    return moll.jacobian_t @ sys.grad_slow(moll.position), moll.position
 
 
 def _kick_force_projected(sys, x):
-    return momentum_projector(sys, x) @ sys.grad_slow(x)
+    return momentum_projector(sys, x) @ sys.grad_slow(x), None
 
 
 _KICK_FORCES = {
@@ -175,20 +198,22 @@ _KICK_FORCES = {
 
 
 def _splitting_step(sys, state, method, f_start=None):
-    """One kick-oscillate-kick step; returns (State, f_end).
+    """One kick-oscillate-kick step; returns (State, f_end, position).
 
     f_start is the kick force at state.x when the caller already has it.
     A kick changes only the momenta, so the closing force f_end is the
-    next step's opening force (first same as last).
+    next step's opening force (first same as last).  position is the
+    closing kick's manifold projection of the new state.x, or None when
+    the kick does not project.
     """
     kick_force = _KICK_FORCES[method.kind]
     half = 0.5 * method.h
     if f_start is None:
-        f_start = kick_force(sys, state.x)
+        f_start = kick_force(sys, state.x)[0]
     y = state.y - half * f_start
     mid = fast_flow(sys, State(state.x, y, state.t), method.h, method.micro_divisor)
-    f_end = kick_force(sys, mid.x)
-    return State(mid.x, mid.y - half * f_end, mid.t), f_end
+    f_end, position = kick_force(sys, mid.x)
+    return State(mid.x, mid.y - half * f_end, mid.t), f_end, position
 
 
 def macro_step(sys: OscillatorySystem, state: State, method: MacroMethod) -> State:
@@ -201,27 +226,31 @@ def integrate(
     state0: State,
     method: MacroMethod,
     t_end: float,
-    observer: Optional[Callable[[OscillatorySystem, State], object]] = None,
+    observer: Optional[Observer] = None,
     stride: int = 1,
 ) -> Trajectory:
     """Run the selected macro method from state0 up to t_end.
 
-    Samples every `stride`-th macro step (plus the initial and final
-    states).  Each step reuses the previous step's closing kick force,
-    so a run evaluates the kick force nsteps + 1 times; the states are
-    those of macro_step applied in turn.  A failing step aborts with an
-    IntegrationError carrying the partial trajectory and the failure
-    time.
+    t_end must be a whole number of steps h (see step_count); a horizon
+    shorter than one step keeps the initial sample only.  Samples every
+    `stride`-th macro step (plus the initial and final states).  Each
+    step reuses the previous step's closing kick force, so a run
+    evaluates the kick force nsteps + 1 times; the states are those of
+    macro_step applied in turn.  The observer receives the closing
+    kick's manifold projection of each sampled position when the kick
+    made one.  A failing step aborts with an IntegrationError carrying
+    the partial trajectory and the failure time.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    nsteps = 0 if t_end < method.h else int(math.floor(t_end / method.h + 0.5))
+    nsteps = 0 if t_end < method.h else step_count(t_end, method.h)
     samples = []
 
-    def sample(state):
-        samples.append((state.t, state.x, state.y, observer(sys, state) if observer else None))
+    def sample(state, position=None):
+        record = observer(sys, state, position) if observer else None
+        samples.append((state.t, state.x, state.y, record))
 
     state = state0
     sample(state)
@@ -229,7 +258,7 @@ def integrate(
     force = None
     for k in range(1, nsteps + 1):
         try:
-            state, force = _splitting_step(sys, state, method, force)
+            state, force, position = _splitting_step(sys, state, method, force)
         except Exception as exc:
             raise IntegrationError(
                 f"{method.kind} step failed at t={state.t:.6g}: {exc}",
@@ -238,7 +267,7 @@ def integrate(
             ) from exc
         state.t = t0 + k * method.h  # multiplicative clock, no accumulation
         if k % stride == 0 or k == nsteps:
-            sample(state)
+            sample(state, position)
     return Trajectory.from_samples(samples)
 
 
@@ -248,15 +277,16 @@ def integrate_micro(
     h_micro: float,
     nsteps: int,
     sample_stride: int,
-    observer: Optional[Callable[[OscillatorySystem, State], object]] = None,
+    observer: Optional[Observer] = None,
 ) -> Trajectory:
     """Plain leapfrog run of the full system, sampled every
     sample_stride micro steps.  Used for fine reference integrations of
-    the oscillatory dynamics itself."""
+    the oscillatory dynamics itself.  The observer's position argument
+    is always None."""
     samples = []
 
     def sample(state):
-        samples.append((state.t, state.x, state.y, observer(sys, state) if observer else None))
+        samples.append((state.t, state.x, state.y, observer(sys, state, None) if observer else None))
 
     state = state0
     sample(state)

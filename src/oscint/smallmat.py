@@ -269,7 +269,7 @@ def newton_solve(
     """
     x = np.atleast_1d(np.array(start, dtype=float))
     r = np.atleast_1d(residual(x))
-    rnorm = float(np.max(np.abs(r))) if r.size else 0.0
+    rnorm = _max([abs(v) for v in r.tolist()]) if r.size else 0.0
     if rnorm <= tol:
         return x
     for _ in range(max_iter):
@@ -278,12 +278,14 @@ def newton_solve(
             step = solve_dense(jac, -r)
         except SingularMatrix as exc:
             raise NoConvergence(f"singular Jacobian: {exc}") from exc
+        xs = x.tolist()
+        st = step.tolist()
         frac = 1.0
         best = None
         for _ in range(9):  # full step plus up to 8 halvings
-            x_try = x + frac * step
+            x_try = np.array([a + frac * b for a, b in zip(xs, st)])
             r_try = np.atleast_1d(residual(x_try))
-            n_try = float(np.max(np.abs(r_try)))
+            n_try = _max([abs(v) for v in r_try.tolist()])
             if n_try < rnorm:
                 best = (x_try, r_try, n_try)
                 break

@@ -14,8 +14,11 @@ from oscint import (
     momentum_projector,
     resonance_monitor,
 )
+from oscint import diagnostics, geometry, integrators
 from oscint.diagnostics import TimeMismatch, action_drift, make_observer
+from oscint.harness import random_bounded_energy_states
 from oscint.integrators import MacroMethod, Trajectory, integrate, integrate_micro
+from oscint.model import State
 
 
 def averaged_actions_oracle(sys, state, periods=1, divisor=1000):
@@ -227,3 +230,39 @@ class TestObserver:
             float(np.max(np.abs(r.actions - base))) for r in traj.records
         )
         assert drift == expect
+
+    @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
+    def test_handed_over_position_gives_identical_records(self, kind):
+        # integrate hands the mollified kick's projection to the observer;
+        # each record must be the one the observer builds from scratch
+        pendulum = make_double_pendulum(1e-2)
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        for sys in (pendulum, chain):
+            s0 = random_bounded_energy_states(sys, 1, seed=43)[0]
+            obs = make_observer(sys)
+            traj = integrate(sys, s0, MacroMethod(kind, 0.05), 0.3, observer=obs)
+            for t, x, y, rec in zip(traj.t, traj.x, traj.y, traj.records):
+                want = obs(sys, State(x, y, t))
+                assert rec.t == want.t
+                assert rec.energy == want.energy
+                assert np.array_equal(rec.actions, want.actions)
+                assert rec.min_gap == want.min_gap
+                assert rec.min_combo == want.min_combo
+                assert rec.constraint_residual == want.constraint_residual
+
+    def test_mollified_run_projects_once_for_the_observer(self, monkeypatch, bench_state):
+        calls = []
+        project = geometry.project_to_manifold
+
+        def counted(sys, x, want_jacobian=False):
+            calls.append(want_jacobian)
+            return project(sys, x, want_jacobian)
+
+        monkeypatch.setattr(diagnostics, "project_to_manifold", counted)
+        monkeypatch.setattr(integrators, "project_to_manifold", counted)
+        sys = make_double_pendulum(1e-2)
+        obs = make_observer(sys)
+        integrate(sys, bench_state, MacroMethod("mollified", 0.05), 0.5, observer=obs)
+        # the initial sample projects; every later one reuses a closing kick's
+        assert calls.count(False) == 1
+        assert calls.count(True) == 10 + 1

@@ -200,6 +200,16 @@ class TestEffectiveReference:
             es = rattle_step(pendulum, es, 1e-3)
         assert np.max(np.abs(traj.x[-1] - es.x)) <= 1e-12
 
+    def test_step_not_dividing_horizon_rejected(self, pendulum, bench_state):
+        # 0.2 / 0.003 rounds to 67 steps, ending at 0.201
+        with pytest.raises(ValueError, match="does not divide t_end"):
+            effective_reference(pendulum, bench_state.x, bench_state.y, 0.003, 0.2)
+
+    def test_record_energy_is_effective_energy(self, pendulum, bench_state):
+        traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-2, 0.2, stride=5)
+        for x, y, rec in zip(traj.x, traj.y, traj.records):
+            assert rec.energy == effective_energy(pendulum, EffectiveState(x, y, rec.actions))
+
     def test_energy_conserved_and_frequencies_separated(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-3, 10.0, stride=10)
         recs = traj.records

@@ -389,6 +389,11 @@ class TestIntegrate:
         assert len(traj.t) == len(traj.x) == len(traj.records) == 1
         assert traj.t[0] == 0.0
 
+    def test_step_not_dividing_horizon_rejected(self, pendulum, bench_state):
+        # 0.25 / 0.1 rounds to 2 or 3 steps, ending at 0.2 or 0.3
+        with pytest.raises(ValueError, match="does not divide t_end"):
+            integrate(pendulum, bench_state, MacroMethod("projected", 0.1), 0.25)
+
     def test_deterministic_reruns(self, pendulum, bench_state):
         method = MacroMethod("mollified", 0.05)
         a = integrate(pendulum, bench_state, method, 0.5)
