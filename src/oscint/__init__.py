@@ -19,6 +19,7 @@ from .effective import (
     effective_reference,
     frequencies,
     grad_frequencies,
+    manifold_frequencies,
     rattle_step,
 )
 from .geometry import (

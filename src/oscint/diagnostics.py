@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from .effective import frequencies
+from .effective import frequencies, manifold_frequencies
 from .geometry import momentum_projector, project_to_manifold
 from .integrators import Trajectory
 from .model import OscillatorySystem, State, hamiltonian, has_identity_mass
@@ -57,7 +57,7 @@ def _mode_split(sys, x, y, pos=None):
     y = np.asarray(y, dtype=float)
     if pos is None:
         pos = project_to_manifold(sys, x).position
-    fset = frequencies(sys, pos)
+    fset = manifold_frequencies(sys, pos)
     if sys.m == 0:
         return pos, fset, np.zeros(0)
     offset = x - pos

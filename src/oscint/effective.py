@@ -78,15 +78,43 @@ def frequencies(
     return FrequencySet(np.sqrt(fast), pairs.vectors[:, d:])
 
 
+def manifold_frequencies(sys: OscillatorySystem, x) -> FrequencySet:
+    """Fast frequencies at a configuration x on the manifold.
+
+    With stiff(x) = 1/2 sum_k K_k c_k(x)^2 (K from stiff_weights) the
+    stiff Hessian at c = 0 is G^T K G, and the nonzero spectrum of the
+    pencil (G^T K G, M) is that of the m x m SPD matrix
+    S = K^1/2 G M^-1 G^T K^1/2.  For S u = lambda u, omega = sqrt(lambda)
+    and v = M^-1 G^T K^1/2 u / omega is the mass-orthonormal mode vector.
+    Off the manifold the result differs from frequencies() by O(|c|).
+    Raises GapViolation when the smallest eigenvalue of S is not
+    positive (G lost rank).  A system without stiff_weights falls back
+    to the full pencil, frequencies().
+    """
+    weights = sys.stiff_weights()
+    if weights is None or sys.m == 0:
+        return frequencies(sys, x)
+    x = np.asarray(x, dtype=float)
+    a = sys.constraint_jacobian(x).T * np.sqrt(weights)  # G^T K^1/2, n x m
+    b = mass_solve(sys, x, a)
+    pairs = smallmat.sym_eig(a.T @ b)
+    if pairs.values[0] <= 0.0:
+        raise GapViolation(f"constraint Gram eigenvalue not positive: {pairs.values[0]:.3e}")
+    omegas = np.sqrt(pairs.values)
+    return FrequencySet(omegas, (b @ pairs.vectors) / omegas)
+
+
 def grad_frequencies(sys: OscillatorySystem, x) -> np.ndarray:
-    """Row k holds the ambient-coordinate gradient of omega_k.
+    """Row k holds the ambient-coordinate gradient of omega_k at a
+    configuration x on the manifold.
 
     Exact by first-order perturbation of the pencil (constant mass,
     mass-orthonormal v_k, simple omega_k^2 guaranteed by the gap check):
-    d omega_k / dx_j = v_k^T (d_j hess_stiff) v_k / (2 omega_k).
+    d omega_k / dx_j = v_k^T (d_j hess_stiff) v_k / (2 omega_k), with the
+    eigenpairs from manifold_frequencies.
     """
     x = np.asarray(x, dtype=float)
-    fset = frequencies(sys, x)
+    fset = manifold_frequencies(sys, x)
     grad = np.empty((sys.m, sys.n))
     for k, omega in enumerate(fset.omegas):
         grad[k] = sys.hess_stiff_contract(x, fset.vectors[:, k]) / (2.0 * omega)
@@ -102,8 +130,8 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
 
 
 def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
-    """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x)."""
-    return _energy_at(sys, es, frequencies(sys, es.x).omegas)
+    """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x), x on the manifold."""
+    return _energy_at(sys, es, manifold_frequencies(sys, es.x).omegas)
 
 
 def _energy_at(sys, es, omegas):
@@ -202,7 +230,7 @@ def effective_reference(
     def record(st):
         if not with_records:
             return None
-        om = frequencies(sys, st.x).omegas
+        om = manifold_frequencies(sys, st.x).omegas
         gap, combo = resonance_monitor(om)
         pos_res, mom_res = constraint_residuals(sys, st)
         return DiagnosticsRecord(

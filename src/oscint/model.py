@@ -57,7 +57,7 @@ class OscillatorySystem:
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow and
     hess_stiff_contract have generic defaults; a model may override them
-    with faster or exact versions.
+    with faster or exact versions.  stiff_weights is optional as well.
     """
 
     n: int
@@ -88,6 +88,15 @@ class OscillatorySystem:
 
     def constraint_jacobian(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def stiff_weights(self):
+        """Weights K_k of the stiff potential written in the constraints,
+        stiff(x) = 1/2 sum_k K_k constraint(x)_k^2, as a vector of m
+        positive entries; None (the default) when the model does not
+        declare that form.  They let frequencies on the manifold come
+        from an m x m eigenproblem (effective.manifold_frequencies).
+        """
+        return None
 
     def hess_stiff_contract(self, x, v) -> np.ndarray:
         """Gradient over x of v^T hess_stiff(x) v for a fixed vector v.
@@ -303,6 +312,9 @@ class StiffSpringChain(OscillatorySystem):
                 g[i - 2] -= t0
                 g[i - 1] -= t1
         return np.array(g)
+
+    def stiff_weights(self):
+        return np.array(self._a2)
 
     def constraint(self, x):
         segs = self._segments(x)

@@ -231,16 +231,15 @@ class TestObserver:
         )
         assert drift == expect
 
-    @pytest.mark.parametrize("kind", ["impulse", "mollified", "projected"])
-    def test_handed_over_position_gives_identical_records(self, kind):
+    def test_handed_over_position_gives_identical_records(self):
         # integrate hands the mollified kick's projection to the observer;
-        # each record must be the one the observer builds from scratch
+        # each record must equal the one the observer builds by projecting itself
         pendulum = make_double_pendulum(1e-2)
         chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
         for sys in (pendulum, chain):
             s0 = random_bounded_energy_states(sys, 1, seed=43)[0]
             obs = make_observer(sys)
-            traj = integrate(sys, s0, MacroMethod(kind, 0.05), 0.3, observer=obs)
+            traj = integrate(sys, s0, MacroMethod("mollified", 0.05), 0.3, observer=obs)
             for t, x, y, rec in zip(traj.t, traj.x, traj.y, traj.records):
                 want = obs(sys, State(x, y, t))
                 assert rec.t == want.t

@@ -12,6 +12,7 @@ from oscint import (
     grad_frequencies,
     make_double_pendulum,
     make_spring_chain,
+    manifold_frequencies,
     rattle_step,
 )
 from oscint.effective import (
@@ -54,6 +55,35 @@ class TestFrequencies:
         x = np.array([1.5, 0.0, 3.0, 0.1])
         with pytest.raises(GapViolation):
             frequencies(pendulum, x, gap_factor=1e-12)
+
+
+class TestManifoldFrequencies:
+    def test_double_pendulum_orthogonal_pair(self, pendulum):
+        fset = manifold_frequencies(pendulum, on_manifold_config())
+        assert np.max(np.abs(fset.omegas - [1.0, math.sqrt(2.0)])) <= 1e-12
+        assert np.max(np.abs(fset.vectors.T @ fset.vectors - np.eye(2))) <= 1e-14
+
+    def test_without_weights_is_the_full_pencil(self, pendulum):
+        class Unweighted(type(pendulum)):
+            def stiff_weights(self):
+                return None
+
+        sys = Unweighted(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
+        x = _bent_config(0.3, 1.2)
+        got = manifold_frequencies(sys, x)
+        want = frequencies(pendulum, x)
+        assert np.array_equal(got.omegas, want.omegas)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_gap_violation_on_a_singular_gram_matrix(self, pendulum):
+        # a zero weight leaves S a zero row and column: eigenvalue 0
+        class Degenerate(type(pendulum)):
+            def stiff_weights(self):
+                return np.array([1.0, 0.0])
+
+        sys = Degenerate(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
+        with pytest.raises(GapViolation, match="not positive"):
+            manifold_frequencies(sys, on_manifold_config())
 
 
 class TestGradFrequencies:

@@ -390,7 +390,7 @@ class TestIntegrate:
         assert traj.t[0] == 0.0
 
     def test_step_not_dividing_horizon_rejected(self, pendulum, bench_state):
-        # 0.25 / 0.1 rounds to 2 or 3 steps, ending at 0.2 or 0.3
+        # 0.25 / 0.1 = 2.5 steps: rounding would end the run at 0.3
         with pytest.raises(ValueError, match="does not divide t_end"):
             integrate(pendulum, bench_state, MacroMethod("projected", 0.1), 0.25)
 

@@ -21,6 +21,7 @@ from oscint import (
     integrate_micro,
     make_observer,
     make_spring_chain,
+    manifold_frequencies,
     momentum_projector,
     project_to_manifold,
 )
@@ -75,6 +76,15 @@ class Scaled(OscillatorySystem):
     def to_scaled(self, q, p):
         """(x, y) of a base state (q, p)."""
         return self.s_inv @ q, self.s.T @ p
+
+
+class Weighted(Scaled):
+    """Scaled with the base's stiff weights declared: the stiff potential
+    is 1/2 sum_k K_k c_k(S x)^2, so manifold_frequencies takes its m x m
+    path, through M^-1, instead of falling back to the full pencil."""
+
+    def stiff_weights(self):
+        return self.base.stiff_weights()
 
 
 def assert_close(got, want, rtol=RTOL):
@@ -171,3 +181,24 @@ class TestScaledMass:
         assert_close(ts.x, tb.x @ sc.s_inv.T)
         assert_close(ts.y, tb.y @ sc.s)
         assert_same_records(ts.records, tb.records)
+
+
+class TestWeightedScaledMass(TestScaledMass):
+    """Every TestScaledMass check on the Weighted system."""
+
+    @staticmethod
+    def case(which):
+        base, sc, st = TestScaledMass.case(which)
+        return base, Weighted(base, sc.s), st
+
+    def test_manifold_frequencies_match_pencil(self, which):
+        base, sc, st = self.case(which)
+        x_pos = sc.s_inv @ project_to_manifold(base, st.x).position
+        reduced = manifold_frequencies(sc, x_pos)
+        full = frequencies(sc, x_pos)
+        assert_close(reduced.omegas, full.omegas)
+        mass = sc.mass_matrix(x_pos)
+        assert_close(reduced.vectors.T @ mass @ reduced.vectors, np.eye(base.m))
+        assert_close(
+            reduced.vectors @ reduced.vectors.T @ mass, full.vectors @ full.vectors.T @ mass
+        )

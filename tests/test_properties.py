@@ -1,6 +1,7 @@
 """Property tests: every analytic model derivative against central
 differences, on random near-manifold chains (N = 1..8) and random
-double-pendulum parameters."""
+double-pendulum parameters; the reduced manifold frequencies against
+the full pencil on the same chains, projected onto the manifold."""
 
 import math
 
@@ -8,7 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscint import make_double_pendulum, make_spring_chain
+from oscint import (
+    frequencies,
+    make_double_pendulum,
+    make_spring_chain,
+    manifold_frequencies,
+    project_to_manifold,
+)
 from oscint.model import OscillatorySystem
 
 FD = 1e-6
@@ -95,3 +102,17 @@ def test_chain_derivatives_match_central_differences(case):
 @given(double_pendulums())
 def test_double_pendulum_derivatives_match_central_differences(case):
     _check_derivatives(*case)
+
+
+@PROPERTY
+@given(chains())
+def test_manifold_frequencies_match_full_pencil(case):
+    sys, x, _ = case
+    pos = project_to_manifold(sys, x).position
+    reduced = manifold_frequencies(sys, pos)
+    full = frequencies(sys, pos)
+    assert np.max(np.abs(reduced.omegas - full.omegas) / full.omegas) <= 1e-10
+    # the projector V V^T M onto the fast space (M = I) is the same for any
+    # sign or basis choice inside a degenerate frequency
+    proj = reduced.vectors @ reduced.vectors.T
+    assert np.max(np.abs(proj - full.vectors @ full.vectors.T)) <= 1e-9
