@@ -69,11 +69,12 @@ def project_to_manifold(
     if sys.m == 0:
         jac_t = np.eye(sys.n) if want_jacobian else None
         return ManifoldProjection(x.copy(), np.zeros(0), jac_t)
-    base_jac_t = sys.constraint_jacobian(x).T  # n x m, frozen at x
+    base_jac = sys.constraint_jacobian(x)  # m x n, frozen at x
     # fail fast on rank loss before iterating
     try:
-        minv_gt = mass_solve(sys, x, base_jac_t)
-        smallmat.cholesky(base_jac_t.T @ minv_gt)
+        minv_gt = mass_solve(sys, x, base_jac.T)
+        gram = base_jac @ minv_gt  # the Newton Jacobian at lam = 0
+        smallmat.cholesky(gram)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
 
@@ -81,6 +82,8 @@ def project_to_manifold(
         return sys.constraint(x + minv_gt @ lam)
 
     def jacobian(lam):
+        if not lam.any():
+            return gram
         return sys.constraint_jacobian(x + minv_gt @ lam) @ minv_gt
 
     lam = smallmat.newton_solve(residual, jacobian, np.zeros(sys.m), tol=1e-12)

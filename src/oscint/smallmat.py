@@ -141,13 +141,19 @@ def solve_dense(a, b):
     """
     a = np.asarray(a, dtype=float)
     x, shape = _columns(b)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.array(b, dtype=float, copy=True)
-    a = a.tolist()
+    return np.array(_eliminate(a.tolist(), x)).reshape(shape)
+
+
+def _eliminate(a, x):
+    """Solve A X = B on nested lists, a holding the n >= 1 rows of A and
+    x the rows of B; both are overwritten, and x is returned as the
+    solution.  Partial pivoting takes the first row of largest
+    magnitude; raises SingularMatrix on pivot breakdown."""
+    n = len(a)
     scale = _max([abs(v) for row in a for v in row])
     for k in range(n):
-        # the first row of largest magnitude
         p = k
         for i in range(k + 1, n):
             if abs(a[i][k]) > abs(a[p][k]):
@@ -169,7 +175,7 @@ def solve_dense(a, b):
     for i in range(n - 1, -1, -1):
         ai = a[i]
         x[i] = _substitute(x[i], ai[i + 1:], x[i + 1:], ai[i])
-    return np.array(x).reshape(shape)
+    return x
 
 
 def sym_eig(a) -> EigenPairs:
@@ -182,17 +188,21 @@ def sym_eig(a) -> EigenPairs:
     """
     a_in = symmetrize(a)
     n = a_in.shape[0]
-    if not np.all(np.isfinite(a_in)):
+    norm = math.sqrt(float(np.sum(a_in * a_in)))
+    # a finite norm proves finite entries; an infinite one may come from
+    # finite entries whose squares overflow
+    if not math.isfinite(norm) and not np.all(np.isfinite(a_in)):
         raise NoConvergence("matrix has non-finite entries")
     if n <= 1:
         return EigenPairs(np.diag(a_in).copy(), np.eye(n))
-    norm = math.sqrt(float(np.sum(a_in * a_in)))
     if norm == 0.0:
         return EigenPairs(np.zeros(n), np.eye(n))
     # scalar rotations on nested lists: far less per-op overhead than
     # numpy slicing at the orders (<= ~16) this solver is meant for
     a = a_in.tolist()
-    vec = np.eye(n).tolist()
+    vec = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        vec[i][i] = 1.0
     stop = 1e-15 * norm
     skip = 0.01 * stop / n
     for _ in range(100):
@@ -235,9 +245,12 @@ def sym_eig(a) -> EigenPairs:
                     row[q] = s * vkp + c * vkq
     else:
         raise NoConvergence("Jacobi did not converge within 100 sweeps")
-    values = np.array([a[i][i] for i in range(n)])
-    order = np.argsort(values, kind="stable")
-    return EigenPairs(values[order], np.array(vec)[:, order])
+    values = [a[i][i] for i in range(n)]
+    order = sorted(range(n), key=values.__getitem__)  # stable, as argsort's
+    return EigenPairs(
+        np.array([values[i] for i in order]),
+        np.array([[row[i] for i in order] for row in vec]),
+    )
 
 
 def gen_eig(a, b) -> EigenPairs:
@@ -268,24 +281,23 @@ def newton_solve(
     Jacobian, or when the line search stalls.
     """
     x = np.atleast_1d(np.array(start, dtype=float))
-    r = np.atleast_1d(residual(x))
-    rnorm = _max([abs(v) for v in r.tolist()]) if r.size else 0.0
+    r = np.array(residual(x), dtype=float, ndmin=1).tolist()
+    rnorm = _max([abs(v) for v in r]) if r else 0.0
     if rnorm <= tol:
         return x
     for _ in range(max_iter):
-        jac = np.atleast_2d(jacobian(x))
+        jac = np.array(jacobian(x), dtype=float, ndmin=2).tolist()
         try:
-            step = solve_dense(jac, -r)
+            step = _eliminate(jac, [[-v] for v in r])
         except SingularMatrix as exc:
             raise NoConvergence(f"singular Jacobian: {exc}") from exc
         xs = x.tolist()
-        st = step.tolist()
         frac = 1.0
         best = None
         for _ in range(9):  # full step plus up to 8 halvings
-            x_try = np.array([a + frac * b for a, b in zip(xs, st)])
-            r_try = np.atleast_1d(residual(x_try))
-            n_try = _max([abs(v) for v in r_try.tolist()])
+            x_try = np.array([a + frac * b for a, (b,) in zip(xs, step)])
+            r_try = np.array(residual(x_try), dtype=float, ndmin=1).tolist()
+            n_try = _max([abs(v) for v in r_try])
             if n_try < rnorm:
                 best = (x_try, r_try, n_try)
                 break
