@@ -14,9 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import smallmat
-from .model import OscillatorySystem, mass_solve
-
-_FD_STEP = 1e-6  # step for differentiating M(x)^-1 G(x)^T lambda
+from .model import OscillatorySystem, mass_solve, require_constant_mass
 
 
 class RankDeficient(Exception):
@@ -63,9 +61,13 @@ def project_to_manifold(
     by Newton from lam = 0 (tolerance 1e-12, at most 20 iterations).
     With want_jacobian the exact implicit-function Jacobian transpose of
     the projection map is returned as well; on the manifold it equals
-    the momentum projector exactly.
+    the momentum projector exactly.  The Jacobian requires a constant
+    mass matrix (ValueError otherwise): it omits the x-derivative of
+    M(x)^-1.
     """
     x = np.asarray(x, dtype=float)
+    if want_jacobian:
+        require_constant_mass(sys, "the projection Jacobian")
     if sys.m == 0:
         jac_t = np.eye(sys.n) if want_jacobian else None
         return ManifoldProjection(x.copy(), np.zeros(0), jac_t)
@@ -82,7 +84,7 @@ def project_to_manifold(
         return sys.constraint(x + minv_gt @ lam)
 
     def jacobian(lam):
-        if not lam.any():
+        if not any(lam.tolist()):
             return gram
         return sys.constraint_jacobian(x + minv_gt @ lam) @ minv_gt
 
@@ -90,7 +92,7 @@ def project_to_manifold(
     position = x + minv_gt @ lam
     jac_t = None
     if want_jacobian:
-        if not np.any(lam):
+        if not any(lam.tolist()):
             # at lam = 0 the implicit Jacobian collapses to the projector
             jac_t = momentum_projector(sys, x)
         else:
@@ -101,27 +103,15 @@ def project_to_manifold(
 def _projection_jacobian_t(sys, x, position, lam, minv_gt):
     """Transpose of d(position)/dx by implicit differentiation.
 
-    Differentiating position = x + M(x)^-1 G(x)^T lam(x) and
-    constraint(position(x)) = 0 gives, with D the x-derivative of the
-    map x -> M(x)^-1 G(x)^T lam at frozen lam (central differences) and
-    B = I + D:
+    Differentiating position = x + M^-1 G(x)^T lam(x) (constant M) and
+    constraint(position(x)) = 0 gives, with D = M^-1 sum_k lam_k
+    hess constraint_k(x) the x-derivative of the map
+    x -> M^-1 G(x)^T lam at frozen lam and B = I + D:
 
         d(position)/dx = B - M^-1 G(x)^T S~^-1 G(position) B,
         S~ = G(position) M(x)^-1 G(x)^T.
     """
-    n = sys.n
-
-    def frozen_map(z):
-        return mass_solve(sys, z, sys.constraint_jacobian(z).T @ lam)
-
-    d = np.empty((n, n))
-    for j in range(n):
-        zp = x.copy()
-        zm = x.copy()
-        zp[j] += _FD_STEP
-        zm[j] -= _FD_STEP
-        d[:, j] = (frozen_map(zp) - frozen_map(zm)) / (2.0 * _FD_STEP)
-    b = np.eye(n) + d
+    b = np.eye(sys.n) + mass_solve(sys, x, sys.constraint_hessian(x, lam))
     jac_pos = sys.constraint_jacobian(position)
     gram = jac_pos @ minv_gt  # m x m, generally non-symmetric
     try:

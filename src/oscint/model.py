@@ -40,7 +40,7 @@ class State:
         return State(self.x.copy(), self.y.copy(), self.t)
 
 
-HESS_FD_STEP = 1e-5  # step of the default hess_stiff_contract
+HESS_FD_STEP = 1e-5  # step of the default second-derivative methods
 
 
 class OscillatorySystem:
@@ -55,9 +55,10 @@ class OscillatorySystem:
 
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
-    constraint_jacobian.  All evaluators must be pure.  stiff_flow and
-    hess_stiff_contract have generic defaults; a model may override them
-    with faster or exact versions.  stiff_weights is optional as well.
+    constraint_jacobian.  All evaluators must be pure.  stiff_flow,
+    hess_stiff_contract and constraint_hessian have generic defaults; a
+    model may override them with faster or exact versions.
+    stiff_weights is optional as well.
     """
 
     n: int
@@ -104,18 +105,18 @@ class OscillatorySystem:
         Default: central differences of hess_stiff with step
         HESS_FD_STEP, 2n Hessian evaluations.
         """
-        x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        g = np.empty(self.n)
-        for j in range(self.n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += HESS_FD_STEP
-            xm[j] -= HESS_FD_STEP
-            g[j] = (v @ self.hess_stiff(xp) @ v - v @ self.hess_stiff(xm) @ v) / (
-                2.0 * HESS_FD_STEP
-            )
-        return g
+        return _central_differences(lambda z: v @ self.hess_stiff(z) @ v, x)
+
+    def constraint_hessian(self, x, w) -> np.ndarray:
+        """sum_k w_k hess constraint_k(x) for fixed weights w (n x n): the
+        x-derivative of G(x)^T w.
+
+        Default: central differences of constraint_jacobian with step
+        HESS_FD_STEP, 2n Jacobian evaluations.
+        """
+        w = np.asarray(w, dtype=float)
+        return _central_differences(lambda z: self.constraint_jacobian(z).T @ w, x).T
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = M^-1 y, ydot = -grad stiff / epsilon^2
@@ -131,6 +132,20 @@ class OscillatorySystem:
             lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps,
             lambda v: mass_solve(self, x, v),
         )
+
+
+def _central_differences(f, x):
+    """Central differences of f at x with step HESS_FD_STEP; entry j is
+    the derivative along x_j."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for j in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += HESS_FD_STEP
+        xm[j] -= HESS_FD_STEP
+        out.append((f(xp) - f(xm)) / (2.0 * HESS_FD_STEP))
+    return np.array(out)
 
 
 def leapfrog(force, x, y, h_micro, nsteps, velocity):
@@ -177,6 +192,28 @@ def _spring_contract(a2, length, d0, d1, r, w0, w1):
     c = a2 * length / (r * r)
     t = w0 * w0 + w1 * w1 - 3.0 * s * s
     return c * (t * u0 + 2.0 * s * w0), c * (t * u1 + 2.0 * s * w1)
+
+
+def _chain_matrix(n, blocks):
+    """n x n matrix of a chain from one symmetric 2x2 block (b00, b01,
+    b11) per spring k, acting on the segment bob_k - bob_(k-1): the
+    block is added on the diagonal blocks of bobs k and k - 1 and
+    subtracted on their off-diagonal blocks (bob k only for the anchored
+    first spring)."""
+    h = [[0.0] * n for _ in range(n)]
+    for k, (b00, b01, b11) in enumerate(blocks):
+        blk = ((b00, b01), (b01, b11))
+        i = 2 * k
+        j = i - 2
+        for a in range(2):
+            for b in range(2):
+                v = blk[a][b]
+                h[i + a][i + b] += v
+                if k > 0:
+                    h[j + a][j + b] += v
+                    h[j + a][i + b] -= v
+                    h[i + a][j + b] -= v
+    return np.array(h)
 
 
 def _collapsed(k, r):
@@ -280,21 +317,10 @@ class StiffSpringChain(OscillatorySystem):
 
     def hess_stiff(self, x):
         segs = self._segments(x)
-        h = [[0.0] * self.n for _ in range(self.n)]
-        for k, (d0, d1, r) in enumerate(segs):
-            b00, b01, b11 = _spring_block(self._a2[k], self._len[k], d0, d1, r)
-            blk = ((b00, b01), (b01, b11))
-            i = 2 * k
-            j = i - 2
-            for a in range(2):
-                for b in range(2):
-                    v = blk[a][b]
-                    h[i + a][i + b] += v
-                    if k > 0:
-                        h[j + a][j + b] += v
-                        h[j + a][i + b] -= v
-                        h[i + a][j + b] -= v
-        return np.array(h)
+        return _chain_matrix(self.n, [
+            _spring_block(self._a2[k], self._len[k], d0, d1, r)
+            for k, (d0, d1, r) in enumerate(segs)
+        ])
 
     def hess_stiff_contract(self, x, v):
         segs = self._segments(x)
@@ -319,6 +345,17 @@ class StiffSpringChain(OscillatorySystem):
     def constraint(self, x):
         segs = self._segments(x)
         return np.array([segs[k][2] - self._len[k] for k in range(self.m)])
+
+    def constraint_hessian(self, x, w):
+        """Spring k adds w_k (I - u u^T) / r, u = d / r, on its segment d,
+        written as w_k / r^3 (d1^2, -d0 d1, d0^2)."""
+        segs = self._segments(x)
+        w = np.asarray(w, dtype=float).tolist()
+        blocks = []
+        for k, (d0, d1, r) in enumerate(segs):
+            c = w[k] / (r * r * r)
+            blocks.append((c * (d1 * d1), -c * (d0 * d1), c * (d0 * d0)))
+        return _chain_matrix(self.n, blocks)
 
     def constraint_jacobian(self, x):
         segs = self._segments(x)
@@ -413,9 +450,9 @@ def has_identity_mass(sys: OscillatorySystem, x) -> bool:
     return result
 
 
-def require_constant_mass(sys: OscillatorySystem):
+def require_constant_mass(sys: OscillatorySystem, what="leapfrog integration"):
     if not sys.mass_is_constant:
-        raise ValueError("leapfrog integration requires a constant mass matrix")
+        raise ValueError(f"{what} requires a constant mass matrix")
 
 
 def mass_solve(sys: OscillatorySystem, x, v):

@@ -10,6 +10,7 @@ from oscint import (
     momentum_projector,
     project_to_manifold,
 )
+from oscint.model import StiffSpringChain
 from oscint.smallmat import NoConvergence
 
 from conftest import sample_states
@@ -106,6 +107,29 @@ class TestProjectToManifold:
     def test_far_point_no_convergence(self, pendulum):
         with pytest.raises(NoConvergence):
             project_to_manifold(pendulum, np.array([50.0, 0.0, -50.0, 80.0]))
+
+
+class TestVariableMassDeclared:
+    """The exact projection Jacobian omits the x-derivative of M(x)^-1, so
+    it must refuse a system that declares position-dependent mass."""
+
+    @staticmethod
+    def chain():
+        class VariableMassChain(StiffSpringChain):
+            def __post_init__(self):
+                super().__post_init__()
+                self.mass_is_constant = False
+
+        return VariableMassChain(1e-2, [1.0, 1.0], [1.0, 1.0])
+
+    def test_jacobian_rejected(self, bench_state):
+        with pytest.raises(ValueError, match="constant mass"):
+            project_to_manifold(self.chain(), bench_state.x, want_jacobian=True)
+
+    def test_position_still_projected(self, pendulum, bench_state):
+        got = project_to_manifold(self.chain(), bench_state.x)
+        want = project_to_manifold(pendulum, bench_state.x)
+        assert np.array_equal(got.position, want.position)
 
 
 class TestConsistentState:

@@ -30,7 +30,9 @@ from oscint.integrators import MacroMethod
 from oscint.model import OscillatorySystem, State
 
 RTOL = 1e-11
-JAC_RTOL = 1e-9  # jacobian_t comes from central differences
+# jacobian_t is exact (constraint_hessian): within 4.8e-15 here, where
+# the central differences it replaced were off by 4.0e-12
+JAC_RTOL = 1e-13
 
 
 class Scaled(OscillatorySystem):
@@ -72,6 +74,9 @@ class Scaled(OscillatorySystem):
 
     def constraint_jacobian(self, x):
         return self.base.constraint_jacobian(self.q(x)) @ self.s
+
+    def constraint_hessian(self, x, w):
+        return self.s.T @ self.base.constraint_hessian(self.q(x), w) @ self.s
 
     def to_scaled(self, q, p):
         """(x, y) of a base state (q, p)."""
@@ -156,9 +161,8 @@ class TestScaledMass:
         tb = integrate(base, st, method, 0.2, observer=make_observer(base))
         ts = integrate(sc, State(x, y), method, 0.2, observer=make_observer(sc))
         assert np.array_equal(ts.t, tb.t)
-        rtol = JAC_RTOL if kind == "mollified" else RTOL
-        assert_close(ts.x, tb.x @ sc.s_inv.T, rtol)
-        assert_close(ts.y, tb.y @ sc.s, rtol)
+        assert_close(ts.x, tb.x @ sc.s_inv.T)
+        assert_close(ts.y, tb.y @ sc.s)
         assert_same_records(ts.records, tb.records)
 
     def test_integrate_micro_with_slow_force(self, which):

@@ -1,7 +1,8 @@
 """Property tests: every analytic model derivative against central
 differences, on random near-manifold chains (N = 1..8) and random
-double-pendulum parameters; the reduced manifold frequencies against
-the full pencil on the same chains, projected onto the manifold."""
+double-pendulum parameters; the chain's constraint Hessian against the
+stiff Hessian it splits; the reduced manifold frequencies against the
+full pencil on the same chains, projected onto the manifold."""
 
 import math
 
@@ -102,6 +103,31 @@ def test_chain_derivatives_match_central_differences(case):
 @given(double_pendulums())
 def test_double_pendulum_derivatives_match_central_differences(case):
     _check_derivatives(*case)
+
+
+@PROPERTY
+@given(chains())
+def test_constraint_hessian_matches_central_differences(case):
+    sys, x, v = case
+    w = v[: sys.m]
+    hess = sys.constraint_hessian(x, w)
+    scale = 1e-6 * (1.0 + np.max(np.abs(hess)))
+    fd = _central(lambda z: sys.constraint_jacobian(z).T @ w, x)
+    assert np.max(np.abs(hess - fd)) <= scale
+    default = OscillatorySystem.constraint_hessian(sys, x, w)
+    assert np.max(np.abs(hess - default)) <= scale
+
+
+@PROPERTY
+@given(chains())
+def test_hess_stiff_splits_over_constraints(case):
+    # stiff = 1/2 sum_k K_k c_k^2, so hess stiff = G^T K G + sum_k K_k c_k hess c_k
+    sys, x, _ = case
+    k = sys.stiff_weights()
+    jac = sys.constraint_jacobian(x)
+    split = jac.T @ (k[:, None] * jac) + sys.constraint_hessian(x, k * sys.constraint(x))
+    hess = sys.hess_stiff(x)
+    assert np.max(np.abs(hess - split)) <= 1e-12 * (1.0 + np.max(np.abs(hess)))
 
 
 @PROPERTY
