@@ -6,6 +6,7 @@ used by the convergence experiments.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -22,16 +23,56 @@ class TimeMismatch(Exception):
     """Trajectory sample times fall outside the reference time range."""
 
 
-@dataclass
 class DiagnosticsRecord:
-    """Per-sample observables attached to trajectory states."""
+    """Per-sample observables attached to trajectory states.
 
-    t: float
-    energy: float
-    actions: np.ndarray
-    min_gap: float
-    min_combo: float
-    constraint_residual: float
+    t and actions are plain attributes.  energy, min_gap, min_combo and
+    constraint_residual are either given to the constructor or, in a
+    record made by from_sample, computed from the sampled state and
+    frequencies when first read and then kept.
+    """
+
+    def __init__(self, t, energy, actions, min_gap, min_combo, constraint_residual):
+        self.t = t
+        self.energy = energy
+        self.actions = actions
+        self.min_gap = min_gap
+        self.min_combo = min_combo
+        self.constraint_residual = constraint_residual
+
+    @classmethod
+    def from_sample(cls, system, state, actions, omegas):
+        """Record of a sampled state with its actions and fast
+        frequencies; the other fields wait until they are read."""
+        record = cls.__new__(cls)
+        record.t = state.t
+        record.actions = actions
+        record._sample = (system, state, omegas)
+        return record
+
+    @functools.cached_property
+    def energy(self):
+        system, state, _ = self._sample
+        return hamiltonian(system, state)
+
+    @functools.cached_property
+    def _monitors(self):
+        return resonance_monitor(self._sample[2])
+
+    @functools.cached_property
+    def min_gap(self):
+        return self._monitors[0]
+
+    @functools.cached_property
+    def min_combo(self):
+        return self._monitors[1]
+
+    @functools.cached_property
+    def constraint_residual(self):
+        system, state, _ = self._sample
+        if not system.m:
+            return 0.0
+        return float(np.max(np.abs(system.constraint(state.x))))
 
 
 @dataclass
@@ -77,30 +118,18 @@ def compute_actions(sys: OscillatorySystem, x, y) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _combination_patterns(m):
     """(j, k, l, s2, s3) of every combination omega_j + s2 omega_k +
-    s3 omega_l over m frequencies, in scan order, without those that
-    cancel identically by index/sign symmetry."""
-    patterns = []
-    for j in range(m):
-        for k in range(m):
-            for l in range(m):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        coeff = [0] * m
-                        coeff[j] += 1
-                        coeff[k] += s2
-                        coeff[l] += s3
-                        if any(coeff):
-                            patterns.append((j, k, l, s2, s3))
-    return tuple(patterns)
+    s3 omega_l over m frequencies, in scan order."""
+    return tuple(itertools.product(range(m), range(m), range(m), (1, -1), (1, -1)))
 
 
 def resonance_monitor(omegas):
     """(min pairwise gap, min three-frequency combination).
 
     The combination scan runs over omega_j +/- omega_k +/- omega_l for
-    all index triples and sign patterns, dropping only combinations that
-    cancel identically by index/sign symmetry.  A single frequency has
-    nothing to separate: both monitors are +inf for m <= 1.
+    all index triples and sign patterns.  None of them cancels
+    identically: the integer coefficients of a combination sum to
+    1 +/- 1 +/- 1, which is odd.  A single frequency has nothing to
+    separate: both monitors are +inf for m <= 1.
     """
     om = [float(w) for w in np.asarray(omegas, dtype=float)]
     m = len(om)
@@ -130,23 +159,14 @@ def make_observer(sys: OscillatorySystem):
     The observer takes (system, state, position); position is the
     mass-metric projection of state.x onto the manifold when the caller
     has it, and None (the default) makes the observer project itself.
+    A record computes t and the actions at once; energy, min_gap,
+    min_combo and constraint_residual are computed from the sampled
+    state and frequencies when first read (DiagnosticsRecord.from_sample).
     """
 
     def observer(system, state: State, position=None) -> DiagnosticsRecord:
         _, fset, actions = _mode_split(system, state.x, state.y, position)
-        gap, combo = resonance_monitor(fset.omegas)
-        if system.m:
-            residual = float(np.max(np.abs(system.constraint(state.x))))
-        else:
-            residual = 0.0
-        return DiagnosticsRecord(
-            t=state.t,
-            energy=hamiltonian(system, state),
-            actions=actions,
-            min_gap=gap,
-            min_combo=combo,
-            constraint_residual=residual,
-        )
+        return DiagnosticsRecord.from_sample(system, state, actions, fset.omegas)
 
     return observer
 

@@ -56,8 +56,9 @@ class OscillatorySystem:
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
-    hess_stiff_contract and constraint_hessian have generic defaults; a
-    model may override them with faster or exact versions.
+    stiff_eig_bound, hess_stiff_contract and constraint_hessian have
+    generic defaults; a model may override them with faster or exact
+    versions.
     stiff_weights is optional as well.
     """
 
@@ -98,6 +99,14 @@ class OscillatorySystem:
         from an m x m eigenproblem (effective.manifold_frequencies).
         """
         return None
+
+    def stiff_eig_bound(self, x) -> float:
+        """An upper bound on the largest eigenvalue of hess_stiff(x).
+
+        Default: the largest absolute row sum of hess_stiff(x)
+        (Gershgorin), one Hessian evaluation.
+        """
+        return float(np.max(np.sum(np.abs(self.hess_stiff(x)), axis=1)))
 
     def hess_stiff_contract(self, x, v) -> np.ndarray:
         """Gradient over x of v^T hess_stiff(x) v for a fixed vector v.
@@ -261,6 +270,7 @@ class StiffSpringChain(OscillatorySystem):
         self.n = 2 * self.m
         self._a2 = [a ** 2 for a in self.alphas.tolist()]
         self._len = self.lengths.tolist()
+        self._eig_bound = self._a2[0] + 2.0 * sum(self._a2[1:])
 
     def _segments(self, x):
         """Per spring: (dx, dy, length), measured from the previous bob."""
@@ -322,6 +332,22 @@ class StiffSpringChain(OscillatorySystem):
             for k, (d0, d1, r) in enumerate(segs)
         ])
 
+    def stiff_eig_bound(self, x):
+        """a_0^2 + 2 sum_(k>=1) a_k^2 at every x: a constant.
+
+        hess_stiff = sum_k E_k^T B_k E_k: E_k maps a displacement v to
+        the change of spring k's segment (v_0 for k = 0, v_k - v_(k-1)
+        for k >= 1, v_k the 2-block of the k-th bob), and
+        B_k = a_k^2 (u u^T + (1 - l_k/r_k)(I - u u^T)), u = d_k / r_k, is
+        the spring's 2x2 block.  B_k has the eigenvalues a_k^2 and
+        a_k^2 (1 - l_k/r_k) < a_k^2, so
+        v^T hess_stiff v <= sum_k a_k^2 |E_k v|^2.  Since ||E_0||^2 = 1
+        and ||E_k||^2 = 2 for k >= 1
+        (|v_k - v_(k-1)|^2 <= 2 |v_k|^2 + 2 |v_(k-1)|^2), that sum is at
+        most the bound times |v|^2.  A single spring attains it.
+        """
+        return self._eig_bound
+
     def hess_stiff_contract(self, x, v):
         segs = self._segments(x)
         v = v.tolist()
@@ -371,7 +397,9 @@ class StiffSpringChain(OscillatorySystem):
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the generic leapfrog unrolled on floats: same
         operations in the same order as grad_stiff, so the result is
-        bit-identical.  Other chains run the generic loop."""
+        bit-identical.  The opening force is evaluated before the loop,
+        and each pass runs kick, drift, force, kick.  Other chains run
+        the generic loop."""
         if self.m != 2:
             return super().stiff_flow(x, y, h_micro, nsteps)
         a1, a2 = self._a2
@@ -381,9 +409,31 @@ class StiffSpringChain(OscillatorySystem):
         hypot = math.hypot
         x0, x1, x2, x3 = x.tolist()
         y0, y1, y2, y3 = y.tolist()
-        # step i closes micro step i (second half kick) and opens step
-        # i + 1 (first half kick, drift): one force evaluation per step
-        for i in range(nsteps + 1):
+        # the force block below is repeated inside the loop: a call per
+        # micro step would cost a good part of the step
+        r1 = hypot(x0, x1)
+        if r1 < _MIN_SPRING_LENGTH:
+            raise _collapsed(0, r1)
+        d0 = x2 - x0
+        d1 = x3 - x1
+        r2 = hypot(d0, d1)
+        if r2 < _MIN_SPRING_LENGTH:
+            raise _collapsed(1, r2)
+        c1 = a1 * (r1 - l1) / r1
+        c2 = a2 * (r2 - l2) / r2
+        k0 = half * (scale * (c1 * x0 - c2 * d0))
+        k1 = half * (scale * (c1 * x1 - c2 * d1))
+        k2 = half * (scale * (c2 * d0))
+        k3 = half * (scale * (c2 * d1))
+        for _ in range(nsteps):
+            y0 = y0 + k0
+            y1 = y1 + k1
+            y2 = y2 + k2
+            y3 = y3 + k3
+            x0 = x0 + h_micro * y0
+            x1 = x1 + h_micro * y1
+            x2 = x2 + h_micro * y2
+            x3 = x3 + h_micro * y3
             r1 = hypot(x0, x1)
             if r1 < _MIN_SPRING_LENGTH:
                 raise _collapsed(0, r1)
@@ -398,14 +448,10 @@ class StiffSpringChain(OscillatorySystem):
             k1 = half * (scale * (c1 * x1 - c2 * d1))
             k2 = half * (scale * (c2 * d0))
             k3 = half * (scale * (c2 * d1))
-            if i:
-                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
-            if i < nsteps:
-                y0, y1, y2, y3 = y0 + k0, y1 + k1, y2 + k2, y3 + k3
-                x0 = x0 + h_micro * y0
-                x1 = x1 + h_micro * y1
-                x2 = x2 + h_micro * y2
-                x3 = x3 + h_micro * y3
+            y0 = y0 + k0
+            y1 = y1 + k1
+            y2 = y2 + k2
+            y3 = y3 + k3
         return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
 
 

@@ -55,7 +55,7 @@ def _columns(b):
 def _max(values):
     """max(values), nan when any value is nan, as numpy's max."""
     top = max(values)
-    return math.nan if any(v != v for v in values) else top
+    return math.nan if any(map(math.isnan, values)) else top
 
 
 def _dot(u, v):

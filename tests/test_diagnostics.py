@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from oscint import diagnostics, geometry, integrators
 from oscint.diagnostics import TimeMismatch, action_drift, make_observer
 from oscint.harness import random_bounded_energy_states
 from oscint.integrators import MacroMethod, Trajectory, integrate, integrate_micro
-from oscint.model import State
+from oscint.model import State, hamiltonian
+
+LAZY_FIELDS = ("energy", "min_gap", "min_combo", "constraint_residual")
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
 
 
 def averaged_actions_oracle(sys, state, periods=1, divisor=1000):
@@ -248,6 +255,46 @@ class TestObserver:
                 assert rec.min_gap == want.min_gap
                 assert rec.min_combo == want.min_combo
                 assert rec.constraint_residual == want.constraint_residual
+
+    def test_lazy_fields_are_the_eager_expressions(self, monkeypatch):
+        calls = []
+        monitor = diagnostics.resonance_monitor
+
+        def counted(omegas):
+            calls.append(1)
+            return monitor(omegas)
+
+        monkeypatch.setattr(diagnostics, "resonance_monitor", counted)
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        for sys in (make_double_pendulum(1e-2), chain):
+            for state in random_bounded_energy_states(sys, 3, seed=44):
+                rec = make_observer(sys)(sys, state)
+                assert "energy" not in vars(rec) and calls == []
+                omegas = diagnostics.manifold_frequencies(
+                    sys, geometry.project_to_manifold(sys, state.x).position
+                ).omegas
+                assert rec.t == state.t
+                assert rec.energy == hamiltonian(sys, state)
+                first = (rec.min_gap, rec.min_combo)
+                assert first == monitor(omegas)
+                assert rec.constraint_residual == float(np.max(np.abs(sys.constraint(state.x))))
+                assert (rec.min_gap, rec.min_combo) == first
+                assert calls == [1]  # both monitors from one scan, kept
+                calls.clear()
+
+    def test_pickled_record_reads_the_same(self):
+        # the process-pool path returns records pickled, read or unread
+        sys = make_double_pendulum(1e-2)
+        s0 = random_bounded_energy_states(sys, 1, seed=45)[0]
+        traj = integrate(sys, s0, MacroMethod("mollified", 0.05), 0.2, observer=make_observer(sys))
+        for rec in traj.records:
+            unread = pickle.loads(pickle.dumps(rec))
+            values = [bits(getattr(rec, name)) for name in LAZY_FIELDS]
+            read = pickle.loads(pickle.dumps(rec))
+            for copy in (unread, read):
+                assert copy.t == rec.t
+                assert bits(copy.actions) == bits(rec.actions)
+                assert [bits(getattr(copy, name)) for name in LAZY_FIELDS] == values
 
     def test_mollified_run_projects_once_for_the_observer(self, monkeypatch, bench_state):
         calls = []

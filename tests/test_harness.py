@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from oscint import cli, harness
+from oscint import cli, diagnostics, harness, integrators, model
 from oscint.harness import ConfigError, SweepConfig, config_from_dict
 
 
@@ -247,6 +248,102 @@ class TestActionStudy:
         assert harness._summary_path("a.b/out.csv") == "a.b/out.summary.csv"
         assert harness._summary_path("runs.v2/actions") == "runs.v2/actions.summary.csv"
         assert harness._summary_path("actions") == "actions.summary.csv"
+
+
+def spy_everywhere(monkeypatch, original):
+    """Replace original by a counting wrapper in every oscint module
+    that holds it; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "oscint" or name.startswith("oscint."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def eager_observer(_):
+    """make_observer with every record field computed at sample time by
+    the expressions of the lazy fields."""
+
+    def observer(system, state, position=None):
+        _, fset, actions = diagnostics._mode_split(system, state.x, state.y, position)
+        gap, combo = diagnostics.resonance_monitor(fset.omegas)
+        residual = float(np.max(np.abs(system.constraint(state.x)))) if system.m else 0.0
+        return diagnostics.DiagnosticsRecord(
+            t=state.t, energy=model.hamiltonian(system, state), actions=actions,
+            min_gap=gap, min_combo=combo, constraint_residual=residual,
+        )
+
+    return observer
+
+
+def study_config(tmp_path, study, **over):
+    methods = ["impulse", "mollified", "projected"]
+    if study == "run_convergence_sweep":
+        return small_config(tmp_path, methods=methods, stepsizes=[0.1, 0.05], h_ref=5e-3, **over)
+    if study == "run_single":
+        return small_config(tmp_path, methods=["mollified"], stepsizes=[0.05], **over)
+    return small_config(tmp_path, methods=methods, stepsizes=[0.1], **over)
+
+
+STUDIES = ["run_action_study", "run_convergence_sweep", "run_single"]
+
+
+class TestLazyRecords:
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_only_the_single_run_reads_lazy_fields(self, tmp_path, monkeypatch, study):
+        monitors = spy_everywhere(monkeypatch, diagnostics.resonance_monitor)
+        energies = spy_everywhere(monkeypatch, model.hamiltonian)
+        getattr(harness, study)(study_config(tmp_path, study))
+        if study == "run_single":  # the spies see the calls they should
+            assert len(monitors) == len(energies) == 11
+        else:
+            assert monitors == energies == []
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_outputs_match_fully_evaluated_records(self, tmp_path, monkeypatch, study):
+        getattr(harness, study)(study_config(tmp_path, study, out=str(tmp_path / "lazy.csv")))
+        monkeypatch.setattr(diagnostics, "make_observer", eager_observer)
+        getattr(harness, study)(study_config(tmp_path, study, out=str(tmp_path / "eager.csv")))
+        lazy = (tmp_path / "lazy.csv").read_bytes()
+        assert lazy == (tmp_path / "eager.csv").read_bytes()
+        if study == "run_action_study":
+            summary = (tmp_path / "lazy.summary.csv").read_bytes()
+            assert summary == (tmp_path / "eager.summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("study", ["run_action_study", "run_convergence_sweep"])
+    def test_failing_row_keeps_its_status(self, tmp_path, monkeypatch, study):
+        # the impulse kick fails on its third call, after samples exist
+        calls = []
+        kick = integrators._KICK_FORCES["impulse"]
+
+        def failing(system, x):
+            calls.append(1)
+            if len(calls) == 3:
+                raise model.DomainError("synthetic collapse")
+            return kick(system, x)
+
+        monkeypatch.setitem(integrators._KICK_FORCES, "impulse", failing)
+        cfg = study_config(tmp_path, study)
+        result = getattr(harness, study)(cfg)
+        statuses = [r.status for r in result.rows]
+        assert statuses == ["IntegrationError"] + ["ok"] * (len(statuses) - 1)
+        failed = result.rows[0]
+        assert failed.method == "impulse"
+        assert math.isnan(failed.max_err_x) and math.isnan(failed.max_action_drift)
+        rows_csv = cfg.out if study == "run_convergence_sweep" else harness._summary_path(cfg.out)
+        lines = open(rows_csv, encoding="utf-8").read().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == statuses
+        if study == "run_action_study":
+            series = open(cfg.out, encoding="utf-8").read().splitlines()
+            assert not any(line.startswith("impulse,0.1,") for line in series)
+            assert len(series) == 1 + 2 * 6
 
 
 class TestPerformanceGuard:

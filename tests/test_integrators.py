@@ -16,7 +16,27 @@ from oscint import (
 )
 from oscint.integrators import IntegrationError, MacroMethod, StabilityViolation
 from oscint.harness import random_bounded_energy_states
-from oscint.model import OscillatorySystem, State
+from oscint.model import OscillatorySystem, State, StiffSpringChain
+
+
+class RowSumChain(StiffSpringChain):
+    """Spring chain whose stability guard takes the base-class bound."""
+
+    stiff_eig_bound = OscillatorySystem.stiff_eig_bound
+
+
+def count_eigensolves(monkeypatch):
+    """Spy on the guard's exact eigensolve: the returned list gains one
+    entry per call."""
+    calls = []
+    solve = integrators.pencil_eig
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(integrators, "pencil_eig", counted)
+    return calls
 
 
 class FreeSlowSystem(OscillatorySystem):
@@ -122,6 +142,39 @@ class TestStormerVerlet:
         with pytest.raises(StabilityViolation):
             stormer_verlet(pendulum, bench_state, 1.01 * exact_limit, 1)
 
+    @pytest.mark.parametrize("cls", [StiffSpringChain, RowSumChain])
+    def test_bound_falls_back_to_exact_spectrum(self, cls, monkeypatch, bench_state):
+        # between the bound's limit and the exact one the eigensolve
+        # decides and passes the step; just above the exact limit it raises
+        sys = cls(1e-2, [1.0, 1.0], [1.0, 1.0])
+        x = bench_state.x
+        eps = sys.epsilon
+        bound_limit = 2.0 * eps / math.sqrt(sys.stiff_eig_bound(x))
+        exact_limit = 2.0 * eps / math.sqrt(float(np.linalg.eigvalsh(sys.hess_stiff(x))[-1]))
+        assert bound_limit < 0.99 * exact_limit
+        solves = count_eigensolves(monkeypatch)
+        stormer_verlet(sys, bench_state, 0.5 * bound_limit, 1)
+        assert solves == []
+        stormer_verlet(sys, bench_state, 0.5 * (bound_limit + exact_limit), 1)
+        assert solves == [1]
+        with pytest.raises(StabilityViolation):
+            stormer_verlet(sys, bench_state, 1.01 * exact_limit, 1)
+
+    def test_bound_cleared_by_rounding_goes_to_exact_check(self, monkeypatch):
+        # one spring attains the chain bound a^2: a step at the bound's
+        # limit up to rounding must be decided by the eigensolve
+        sys = make_spring_chain(1, 1e-2, [1.3], [1.0])
+        state = State(np.array([0.6, -0.8]), np.zeros(2))
+        limit = 2.0 * sys.epsilon / 1.3
+        solves = count_eigensolves(monkeypatch)
+        stormer_verlet(sys, state, limit * (1.0 - 1e-6), 1)
+        assert solves == []
+        stormer_verlet(sys, state, limit * (1.0 - 1e-13), 1)
+        assert solves == [1]
+        with pytest.raises(StabilityViolation):
+            stormer_verlet(sys, state, limit * (1.0 + 1e-13), 1)
+        assert solves == [1, 1]
+
     def test_rejects_position_dependent_mass(self, pendulum, bench_state):
         pendulum_var = make_double_pendulum(1e-2)
         pendulum_var.mass_is_constant = False
@@ -187,7 +240,7 @@ def kernel_systems():
 
 
 class TestStiffFlowKernels:
-    @pytest.mark.parametrize("nsteps", [1, 7, 391])
+    @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 391])
     def test_kernels_match_generic_loop_bitwise(self, nsteps):
         for sys in kernel_systems():
             assert type(sys).stiff_flow is not OscillatorySystem.stiff_flow
@@ -232,6 +285,39 @@ class TestStiffFlowKernels:
                 run()
             messages.append(str(err.value))
         # the kernel raises the evaluators' own message
+        assert messages[0] == messages[1] == messages[2]
+
+    def test_collapse_on_the_final_micro_step(self):
+        # as above, but bob 1 lands on the anchor with the last of three
+        # drifts: the start momentum is tuned by secant iterations on
+        # that drift's landing height
+        eps, h_micro, nsteps = 0.5, 1e-3, 3
+        sys = make_double_pendulum(eps)
+        scale = -(1.0 / eps ** 2)
+        x0 = np.array([0.0, -1e-3, 0.0, -1.0 - 1e-3])
+
+        def landing(v):
+            y0 = np.array([0.0, v, 0.0, 0.0])
+            x, y = OscillatorySystem.stiff_flow(sys, x0, y0, h_micro, nsteps - 1)
+            y_half = y + 0.5 * h_micro * (scale * sys.grad_stiff(x))
+            return (x + h_micro * y_half)[1]
+
+        v0, v1 = 0.3, 0.4
+        f0, f1 = landing(v0), landing(v1)
+        while abs(f1) >= 1e-10:
+            v0, v1, f0 = v1, v1 - f1 * (v1 - v0) / (f1 - f0), f1
+            f1 = landing(v1)
+        y0 = np.array([0.0, v1, 0.0, 0.0])
+        sys.stiff_flow(x0, y0, h_micro, nsteps - 1)  # admissible before the last drift
+        messages = []
+        for run in (
+            lambda: sys.stiff_flow(x0, y0, h_micro, nsteps),
+            lambda: OscillatorySystem.stiff_flow(sys, x0, y0, h_micro, nsteps),
+            lambda: stormer_verlet(sys, State(x0, y0), h_micro, nsteps, include_slow=False),
+        ):
+            with pytest.raises(DomainError, match="spring 0 length collapsed") as err:
+                run()
+            messages.append(str(err.value))
         assert messages[0] == messages[1] == messages[2]
 
     def test_fast_flow_enters_through_stiff_flow(self, pendulum, bench_state):

@@ -11,7 +11,13 @@ from oscint import (
     make_spring_chain,
 )
 from oscint.integrators import integrate_micro
-from oscint.model import StiffSpringChain, State, _spring_block, _spring_contract
+from oscint.model import (
+    OscillatorySystem,
+    StiffSpringChain,
+    State,
+    _spring_block,
+    _spring_contract,
+)
 
 from conftest import np_hess_chain, np_hess_double_pendulum, sample_states
 
@@ -223,6 +229,31 @@ class TestSpringChain:
             states = sample_states(chain, 10, seed=40 + n_springs)
             for x in [st.x for st in states] + list(rng.standard_normal((10, chain.n))):
                 assert np.array_equal(chain.hess_stiff(x), np_hess_chain(chain, x))
+
+    def test_stiff_eig_bound_covers_spectrum(self):
+        # the chain's constant bound and the base-class row-sum default,
+        # on random positions and on chains with every spring compressed
+        # or stretched; 1e-12 relative covers the rounding of eigvalsh
+        # where the chain bound is attained (one spring)
+        rng = np.random.default_rng(44)
+        for n_springs in range(1, 9):
+            alphas = rng.uniform(0.5, 2.0, n_springs)
+            lengths = rng.uniform(0.5, 2.0, n_springs)
+            chain = make_spring_chain(n_springs, 1e-2, alphas, lengths)
+            assert chain.stiff_eig_bound(None) == alphas[0] ** 2 + 2.0 * np.sum(alphas[1:] ** 2)
+            positions = list(rng.standard_normal((10, chain.n)))
+            for lo, hi in ((0.05, 1.0), (1.0, 4.0)):
+                for _ in range(10):
+                    angles = rng.uniform(-math.pi, math.pi, n_springs)
+                    r = lengths * rng.uniform(lo, hi, n_springs)
+                    steps = np.stack([r * np.sin(angles), -r * np.cos(angles)], axis=1)
+                    positions.append(np.cumsum(steps, axis=0).ravel())
+            for x in positions:
+                lam_max = float(np.linalg.eigvalsh(chain.hess_stiff(x))[-1])
+                for bound in (chain.stiff_eig_bound(x), OscillatorySystem.stiff_eig_bound(chain, x)):
+                    assert bound >= lam_max * (1.0 - 1e-12)
+                if n_springs == 1:
+                    assert chain.stiff_eig_bound(x) == pytest.approx(lam_max, rel=1e-12)
 
     def test_rest_chain_is_manifold_point(self):
         chain = make_spring_chain(3, 1e-2, [1.0, 2.0, 3.0], [1.0, 0.5, 0.25])
