@@ -18,7 +18,7 @@ import numpy as np
 
 from . import smallmat
 from .geometry import RankDeficient, consistent_state
-from .integrators import Trajectory, step_count
+from .integrators import Trajectory, _sampled_run
 from .model import OscillatorySystem, mass_solve, pencil_eig, require_constant_mass
 
 DEFAULT_GAP_FACTOR = 1e-6
@@ -215,21 +215,17 @@ def effective_reference(
     """Reference trajectory of the constrained effective dynamics.
 
     Projects (x0, y0) to consistent data, fixes the actions from the
-    raw initial state, then runs the constrained leapfrog to t_end,
-    which must be a whole number of steps h_ref (see
-    integrators.step_count; a shorter horizon keeps the initial sample
-    only).
+    raw initial state, then runs the constrained leapfrog from t = 0 to
+    t_end, sampling, checking its input and reporting a failing step as
+    integrators.integrate does.
     Sample records carry the effective energy and constraint residuals.
     """
     from .diagnostics import DiagnosticsRecord, compute_actions, resonance_monitor
 
     actions = compute_actions(sys, x0, y0)
     xc, yc = consistent_state(sys, x0, y0)
-    es = EffectiveState(xc, yc, actions, 0.0)
 
-    def record(st):
-        if not with_records:
-            return None
+    def record(_, st, position):
         om = manifold_frequencies(sys, st.x).omegas
         gap, combo = resonance_monitor(om)
         pos_res, mom_res = constraint_residuals(sys, st)
@@ -242,12 +238,10 @@ def effective_reference(
             constraint_residual=max(pos_res, mom_res),
         )
 
-    nsteps = 0 if t_end < h_ref else step_count(t_end, h_ref)
-    samples = [(es.t, es.x, es.y, record(es))]
-    force = None
-    for k in range(1, nsteps + 1):
-        es, force = _rattle_step_cached(sys, es, h_ref, force)
-        es.t = k * h_ref
-        if k % stride == 0 or k == nsteps:
-            samples.append((es.t, es.x, es.y, record(es)))
-    return Trajectory.from_samples(samples)
+    def step(es, force, count):
+        return (*_rattle_step_cached(sys, es, h_ref, force), None)
+
+    return _sampled_run(
+        sys, EffectiveState(xc, yc, actions, 0.0), step, h_ref, t_end, stride,
+        record if with_records else None, "reference",
+    )

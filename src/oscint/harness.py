@@ -176,33 +176,35 @@ def write_rows_csv(path, rows: Sequence[SweepRow]):
 
 
 def _run_one(job):
-    """One (method, h) run; returns (SweepRow, sample records).
+    """One (method, h) run; returns (SweepRow, series).
 
-    job is (system, start state, config, kind, h, reference); the errors
-    are measured only against a reference that is not None.  A failed
-    run becomes a row tagged with the exception name, its figures nan
-    and its records None, and the study goes on.  Module-level so that
-    process pools can pickle it.
+    job is (system, start state, config, kind, h, reference).  A sweep
+    job (reference not None) measures the errors against the reference;
+    an action-study job returns its series as (t, *actions) tuples of
+    plain floats.  The series is None otherwise, and a failed run becomes
+    a row tagged with the exception name, its figures nan, and the study
+    goes on.  Module-level so that process pools can pickle it.
     """
     sys, s0, cfg, kind, h, ref = job
     method = MacroMethod(kind, h, cfg.micro_divisor)
     observer = diagnostics.make_observer(sys)
     start = time.perf_counter()
     err_x = err_py = math.nan
+    series = None
     try:
         traj = integrate(sys, s0, method, cfg.t_end, observer=observer, stride=cfg.stride)
         drift = diagnostics.action_drift(traj.records)
         if ref is not None:
             metrics = diagnostics.error_metrics(traj, ref, sys)
             err_x, err_py = metrics.max_err_x, metrics.max_err_py
-        records = traj.records
+        else:
+            series = [(rec.t, *rec.actions.tolist()) for rec in traj.records]
         status = "ok"
     except Exception as exc:
         drift = math.nan
-        records = None
         status = type(exc).__name__
     wall = time.perf_counter() - start
-    return SweepRow(kind, h, err_x, err_py, drift, wall, status), records
+    return SweepRow(kind, h, err_x, err_py, drift, wall, status), series
 
 
 def _run_jobs(cfg, sys, s0, ref=None):
@@ -255,10 +257,10 @@ def run_action_study(cfg: SweepConfig) -> SweepResult:
         cfg.out,
         ["method", "h", "t"] + [f"I{k}" for k in range(sys.m)],
         [
-            (row.method, row.h, rec.t, *rec.actions)
-            for row, records in results
-            if records is not None
-            for rec in records
+            (row.method, row.h, *sample)
+            for row, series in results
+            if series is not None
+            for sample in series
         ],
     )
     rows = [row for row, _ in results]

@@ -17,6 +17,10 @@ share the oscillate step and differ only in the kick force:
     mollified  kick with -J(x)^T grad slow(p(x)), p the manifold
                projection of the position and J its exact Jacobian
     projected  kick with -P(x) grad slow(x), P the momentum projector
+
+integrate, integrate_micro and effective.effective_reference share one
+sampling loop, _sampled_run: the same stride and horizon checks, samples,
+clock and IntegrationError on a failing step; each keeps only its step.
 """
 
 from __future__ import annotations
@@ -100,12 +104,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     records: list
-
-    @classmethod
-    def from_samples(cls, samples) -> "Trajectory":
-        """Trajectory of a non-empty list of (t, x, y, record) tuples."""
-        t, x, y, records = zip(*samples)
-        return cls(np.array(t), np.array(x), np.array(y), list(records))
 
 
 # relative margin by which stiff_eig_bound must clear a step, so that a
@@ -228,6 +226,56 @@ def macro_step(sys: OscillatorySystem, state: State, method: MacroMethod) -> Sta
     return _splitting_step(sys, state, method)[0]
 
 
+def _sampled_run(sys, state, step, h, t_end, stride, observer, label, chunk=1):
+    """Run step from state over t_end in units h: the one sampling loop
+    of integrate, integrate_micro and effective_reference.
+
+    t_end > 0 must be a whole number of units (see step_count); a horizon
+    shorter than one unit keeps the initial sample only.
+    step(state, carry, count) advances count units (one, or up to chunk
+    without passing a sample) and returns (state, carry, position):
+    carry goes to the next call (None on the first), position to the
+    observer.  After unit k the clock reads t0 + k h.  Samples: the
+    start, every stride-th unit and the last, one observer call each.  A
+    failing call raises IntegrationError with the samples so far and the
+    time at which the call started.
+    """
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if type(stride) is not int or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, not {stride!r}")
+    nsteps = 0 if t_end < h else step_count(t_end, h)
+    samples = []
+
+    def sample(state, position=None):
+        record = observer(sys, state, position) if observer else None
+        samples.append((state.t, state.x, state.y, record))
+
+    def trajectory():
+        t, x, y, records = zip(*samples)
+        return Trajectory(np.array(t), np.array(x), np.array(y), list(records))
+
+    sample(state)
+    t0 = state.t
+    carry = None
+    k = 0
+    while k < nsteps:
+        count = min(chunk, nsteps - k)
+        try:
+            state, carry, position = step(state, carry, count)
+        except Exception as exc:
+            raise IntegrationError(
+                f"{label} step failed at t={state.t:.6g}: {exc}",
+                partial=trajectory(),
+                time=state.t,
+            ) from exc
+        k += count
+        state.t = t0 + k * h  # multiplicative clock, no accumulation
+        if k % stride == 0 or k == nsteps:
+            sample(state, position)
+    return trajectory()
+
+
 def integrate(
     sys: OscillatorySystem,
     state0: State,
@@ -238,44 +286,19 @@ def integrate(
 ) -> Trajectory:
     """Run the selected macro method from state0 up to t_end.
 
-    t_end must be a whole number of steps h (see step_count); a horizon
-    shorter than one step keeps the initial sample only.  Samples every
-    `stride`-th macro step (plus the initial and final states).  Each
-    step reuses the previous step's closing kick force, so a run
-    evaluates the kick force nsteps + 1 times; the states are those of
-    macro_step applied in turn.  The observer receives the closing
-    kick's manifold projection of each sampled position when the kick
-    made one.  A failing step aborts with an IntegrationError carrying
-    the partial trajectory and the failure time.
+    Samples the initial state, every `stride`-th macro step and the
+    final one (see _sampled_run for the horizon, stride and failure
+    rules).  Each step reuses the previous step's closing kick force, so
+    a run evaluates the kick force nsteps + 1 times; the states are
+    those of macro_step applied in turn.  The observer receives the
+    closing kick's manifold projection of each sampled position when the
+    kick made one.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    nsteps = 0 if t_end < method.h else step_count(t_end, method.h)
-    samples = []
 
-    def sample(state, position=None):
-        record = observer(sys, state, position) if observer else None
-        samples.append((state.t, state.x, state.y, record))
+    def step(state, force, count):
+        return _splitting_step(sys, state, method, force)
 
-    state = state0
-    sample(state)
-    t0 = state0.t
-    force = None
-    for k in range(1, nsteps + 1):
-        try:
-            state, force, position = _splitting_step(sys, state, method, force)
-        except Exception as exc:
-            raise IntegrationError(
-                f"{method.kind} step failed at t={state.t:.6g}: {exc}",
-                partial=Trajectory.from_samples(samples),
-                time=state.t,
-            ) from exc
-        state.t = t0 + k * method.h  # multiplicative clock, no accumulation
-        if k % stride == 0 or k == nsteps:
-            sample(state, position)
-    return Trajectory.from_samples(samples)
+    return _sampled_run(sys, state0, step, method.h, t_end, stride, observer, method.kind)
 
 
 def integrate_micro(
@@ -286,23 +309,15 @@ def integrate_micro(
     sample_stride: int,
     observer: Optional[Observer] = None,
 ) -> Trajectory:
-    """Plain leapfrog run of the full system, sampled every
-    sample_stride micro steps.  Used for fine reference integrations of
-    the oscillatory dynamics itself.  The observer's position argument
-    is always None."""
-    samples = []
+    """Plain leapfrog run of the full system over nsteps >= 1 micro steps,
+    sampled as integrate samples macro steps, one stormer_verlet call per
+    sample interval.  Used for fine reference integrations of the
+    oscillatory dynamics itself.  The observer's position is None."""
 
-    def sample(state):
-        samples.append((state.t, state.x, state.y, observer(sys, state, None) if observer else None))
+    def step(state, _, count):
+        return stormer_verlet(sys, state, h_micro, count), None, None
 
-    state = state0
-    sample(state)
-    t0 = state0.t
-    done = 0
-    while done < nsteps:
-        chunk = min(sample_stride, nsteps - done)
-        state = stormer_verlet(sys, state, h_micro, chunk)
-        done += chunk
-        state.t = t0 + done * h_micro
-        sample(state)
-    return Trajectory.from_samples(samples)
+    return _sampled_run(
+        sys, state0, step, h_micro, nsteps * h_micro, sample_stride, observer, "micro",
+        chunk=sample_stride,
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscint import (
+    IntegrationError,
     benchmark_initial_state,
     compute_actions,
     consistent_state,
@@ -15,6 +16,7 @@ from oscint import (
     manifold_frequencies,
     rattle_step,
 )
+from oscint import effective
 from oscint.effective import (
     EffectiveState,
     GapViolation,
@@ -234,6 +236,46 @@ class TestEffectiveReference:
         # 0.2 / 0.003 rounds to 67 steps, ending at 0.201
         with pytest.raises(ValueError, match="does not divide t_end"):
             effective_reference(pendulum, bench_state.x, bench_state.y, 0.003, 0.2)
+
+    @pytest.mark.parametrize("stride", [0, -3, 1.5])
+    def test_stride_must_be_an_integer_at_least_one(self, pendulum, bench_state, stride):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            effective_reference(pendulum, bench_state.x, bench_state.y, 0.01, 0.1, stride=stride)
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.1])
+    def test_horizon_must_be_positive(self, pendulum, bench_state, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            effective_reference(pendulum, bench_state.x, bench_state.y, 0.01, t_end)
+
+    def test_step_failure_carries_partial_trajectory(self, pendulum, bench_state, monkeypatch):
+        # the third RATTLE step fails: it starts at t = 2 h_ref, after the
+        # samples at steps 0, 1 and 2
+        h_ref = 0.01
+        clean = effective_reference(pendulum, bench_state.x, bench_state.y, h_ref, 0.1)
+        calls = []
+        rattle = effective._rattle_step_cached
+        cause = RuntimeError("synthetic reference failure")
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise cause
+            return rattle(*args)
+
+        monkeypatch.setattr(effective, "_rattle_step_cached", failing)
+        with pytest.raises(IntegrationError) as err:
+            effective_reference(pendulum, bench_state.x, bench_state.y, h_ref, 0.1)
+        assert err.value.time == 2 * h_ref
+        assert err.value.__cause__ is cause
+        assert str(err.value) == f"reference step failed at t={2 * h_ref:.6g}: {cause}"
+        got = err.value.partial
+        assert np.array_equal(got.t, clean.t[:3])
+        assert np.array_equal(got.x, clean.x[:3])
+        assert np.array_equal(got.y, clean.y[:3])
+        fields = ("t", "energy", "min_gap", "min_combo", "constraint_residual")
+        for a, b in zip(got.records, clean.records[:3], strict=True):
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+            assert np.array_equal(a.actions, b.actions)
 
     def test_record_energy_is_effective_energy(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-2, 0.2, stride=5)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscint import cli, diagnostics, harness, integrators, model
+from oscint import cli, diagnostics, effective, harness, integrators, model
 from oscint.harness import ConfigError, SweepConfig, config_from_dict
 
 
@@ -248,6 +248,46 @@ class TestActionStudy:
         assert harness._summary_path("a.b/out.csv") == "a.b/out.summary.csv"
         assert harness._summary_path("runs.v2/actions") == "runs.v2/actions.summary.csv"
         assert harness._summary_path("actions") == "actions.summary.csv"
+
+
+class TestRunOne:
+    """A job hands back only what its study writes: a sweep job no
+    per-sample data, an action-study job its series as plain floats."""
+
+    @staticmethod
+    def job(tmp_path, with_reference):
+        cfg = small_config(tmp_path, methods=["mollified"], stepsizes=[0.1], h_ref=5e-3)
+        sys_ = harness.build_system(cfg)
+        s0 = harness.initial_state(cfg, sys_)
+        ref = None
+        if with_reference:
+            ref = effective.effective_reference(sys_, s0.x, s0.y, cfg.h_ref, cfg.t_end)
+        return sys_, s0, cfg, "mollified", 0.1, ref
+
+    def test_sweep_job_returns_no_series(self, tmp_path):
+        row, series = harness._run_one(self.job(tmp_path, with_reference=True))
+        assert row.status == "ok" and math.isfinite(row.max_err_x)
+        assert series is None
+
+    def test_action_job_returns_its_series_as_plain_floats(self, tmp_path):
+        sys_, s0, cfg, kind, h, _ = job = self.job(tmp_path, with_reference=False)
+        row, series = harness._run_one(job)
+        assert row.status == "ok" and math.isnan(row.max_err_x)
+        traj = integrators.integrate(
+            sys_, s0, integrators.MacroMethod(kind, h, cfg.micro_divisor), cfg.t_end,
+            observer=diagnostics.make_observer(sys_),
+        )
+        assert series == [(rec.t, *rec.actions) for rec in traj.records]
+        assert len(series) == 6 and all(len(sample) == 1 + sys_.m for sample in series)
+        assert all(type(value) is float for sample in series for value in sample)
+
+    def test_failed_job_returns_no_series(self, tmp_path, monkeypatch):
+        def failing(system, x):
+            raise model.DomainError("synthetic collapse")
+
+        monkeypatch.setitem(integrators._KICK_FORCES, "mollified", failing)
+        row, series = harness._run_one(self.job(tmp_path, with_reference=False))
+        assert row.status == "IntegrationError" and series is None
 
 
 def spy_everywhere(monkeypatch, original):

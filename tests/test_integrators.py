@@ -8,6 +8,7 @@ from oscint import (
     fast_flow,
     hamiltonian,
     integrate,
+    integrate_micro,
     integrators,
     macro_step,
     make_double_pendulum,
@@ -127,20 +128,6 @@ class TestStormerVerlet:
         # fastest frequency sqrt(2)/eps: steps above 2 eps/sqrt(2) blow up
         with pytest.raises(StabilityViolation):
             stormer_verlet(pendulum, bench_state, 2.0 * pendulum.epsilon, 1)
-
-    def test_stability_shortcut_adds_no_false_positive(self, pendulum, bench_state):
-        # a step the row-sum bound cannot clear but the exact spectrum can
-        hess = pendulum.hess_stiff(bench_state.x)
-        bound = float(np.max(np.sum(np.abs(hess), axis=1)))
-        lam_max = float(np.linalg.eigvalsh(hess)[-1])
-        eps = pendulum.epsilon
-        gershgorin_limit = 2.0 * eps / math.sqrt(bound)
-        exact_limit = 2.0 * eps / math.sqrt(lam_max)
-        assert gershgorin_limit < 0.99 * exact_limit
-        h = 0.5 * (gershgorin_limit + exact_limit)
-        stormer_verlet(pendulum, bench_state, h, 1)
-        with pytest.raises(StabilityViolation):
-            stormer_verlet(pendulum, bench_state, 1.01 * exact_limit, 1)
 
     @pytest.mark.parametrize("cls", [StiffSpringChain, RowSumChain])
     def test_bound_falls_back_to_exact_spectrum(self, cls, monkeypatch, bench_state):
@@ -503,6 +490,11 @@ class TestIntegrate:
         # steps 0, 3, 6, 9 and the final 10th
         assert [round(t / 0.05) for t in traj.t] == [0, 3, 6, 9, 10]
 
+    @pytest.mark.parametrize("stride", [0, -3, 1.5])
+    def test_stride_must_be_an_integer_at_least_one(self, pendulum, bench_state, stride):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            integrate(pendulum, bench_state, MacroMethod("projected", 0.05), 0.5, stride=stride)
+
     def test_step_failure_carries_partial_trajectory(self, bench_state):
         sys = make_double_pendulum(1e-2)
         calls = {"n": 0}
@@ -613,3 +605,86 @@ class TestKickForceReuse:
             assert np.array_equal(x, ref.x)
             assert np.array_equal(y, ref.y)
             assert t == ref.t
+
+    def test_failure_at_stride_reports_the_failing_step(self, monkeypatch, bench_state):
+        # call 6 closes step 5, which starts at t = 4h; the samples before
+        # it are those at steps 0 and 3
+        calls = []
+        monkeypatch.setitem(
+            integrators._KICK_FORCES,
+            "projected",
+            counting(integrators._KICK_FORCES["projected"], calls, fail_at=6),
+        )
+        sys = make_double_pendulum(1e-2)
+        method = MacroMethod("projected", 0.05)
+        with pytest.raises(IntegrationError) as err:
+            integrate(sys, bench_state, method, 0.5, stride=3)
+        assert err.value.time == 4 * method.h
+        assert isinstance(err.value.__cause__, RuntimeError)
+        monkeypatch.undo()
+        clean = integrate(sys, bench_state, method, 0.5, stride=3)
+        got = err.value.partial
+        assert [round(t / method.h) for t in got.t] == [0, 3]
+        assert np.array_equal(got.t, clean.t[:2])
+        assert np.array_equal(got.x, clean.x[:2])
+        assert np.array_equal(got.y, clean.y[:2])
+
+
+def spy_stormer_verlet(monkeypatch, fail_at=None):
+    """Replace integrators.stormer_verlet by a wrapper that appends each
+    call's step count to the returned list and raises on call number
+    fail_at (1-based)."""
+    calls = []
+    step = integrators.stormer_verlet
+
+    def spied(sys, state, h_micro, nsteps, *args, **kwargs):
+        calls.append(nsteps)
+        if len(calls) == fail_at:
+            raise RuntimeError("synthetic micro failure")
+        return step(sys, state, h_micro, nsteps, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "stormer_verlet", spied)
+    return calls
+
+
+class TestIntegrateMicro:
+    """integrate_micro samples as integrate does, with one stormer_verlet
+    call per sample interval."""
+
+    H_MICRO = 1e-4
+
+    @staticmethod
+    def start(bench_state):
+        return State(bench_state.x, bench_state.y, 0.3)
+
+    def test_one_call_per_sample_interval(self, pendulum, bench_state, monkeypatch):
+        s0 = self.start(bench_state)
+        calls = spy_stormer_verlet(monkeypatch)
+        traj = integrate_micro(pendulum, s0, self.H_MICRO, 10, sample_stride=3)
+        assert calls == [3, 3, 3, 1]
+        assert traj.t.tolist() == [s0.t + k * self.H_MICRO for k in (0, 3, 6, 9, 10)]
+        state = s0
+        for count, x, y in zip((3, 3, 3, 1), traj.x[1:], traj.y[1:], strict=True):
+            state = stormer_verlet(pendulum, state, self.H_MICRO, count)
+            assert np.array_equal(x, state.x)
+            assert np.array_equal(y, state.y)
+
+    def test_failure_carries_partial_trajectory(self, pendulum, bench_state, monkeypatch):
+        # the second interval fails: it starts at t0 + 3 h_micro, after the
+        # samples at micro steps 0 and 3
+        s0 = self.start(bench_state)
+        clean = integrate_micro(pendulum, s0, self.H_MICRO, 10, sample_stride=3)
+        spy_stormer_verlet(monkeypatch, fail_at=2)
+        with pytest.raises(IntegrationError) as err:
+            integrate_micro(pendulum, s0, self.H_MICRO, 10, sample_stride=3)
+        assert err.value.time == s0.t + 3 * self.H_MICRO
+        assert str(err.value.__cause__) == "synthetic micro failure"
+        got = err.value.partial
+        assert np.array_equal(got.t, clean.t[:2])
+        assert np.array_equal(got.x, clean.x[:2])
+        assert np.array_equal(got.y, clean.y[:2])
+
+    @pytest.mark.parametrize("stride", [0, -3, 1.5])
+    def test_stride_must_be_an_integer_at_least_one(self, pendulum, bench_state, stride):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            integrate_micro(pendulum, bench_state, self.H_MICRO, 10, sample_stride=stride)
