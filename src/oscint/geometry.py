@@ -57,13 +57,15 @@ def project_to_manifold(
 ) -> ManifoldProjection:
     """Mass-metric projection of x onto the constraint manifold.
 
-    Solves constraint(x + M(x)^-1 G(x)^T lam) = 0 for the m multipliers
-    by Newton from lam = 0 (tolerance 1e-12, at most 20 iterations).
-    With want_jacobian the exact implicit-function Jacobian transpose of
-    the projection map is returned as well; on the manifold it equals
-    the momentum projector exactly.  The Jacobian requires a constant
-    mass matrix (ValueError otherwise): it omits the x-derivative of
-    M(x)^-1.
+    The position and its m multipliers come from sys.project_position:
+    by default a Newton solve of constraint(x + M(x)^-1 G(x)^T lam) = 0
+    from lam = 0 (tolerance 1e-12, at most 20 iterations), on plain
+    floats for the two-spring chain.  A Gram matrix that is not SPD
+    raises RankDeficient.  With want_jacobian the exact
+    implicit-function Jacobian transpose of the projection map is
+    returned as well; on the manifold it equals the momentum projector
+    exactly.  The Jacobian requires a constant mass matrix (ValueError
+    otherwise): it omits the x-derivative of M(x)^-1.
     """
     x = np.asarray(x, dtype=float)
     if want_jacobian:
@@ -71,36 +73,21 @@ def project_to_manifold(
     if sys.m == 0:
         jac_t = np.eye(sys.n) if want_jacobian else None
         return ManifoldProjection(x.copy(), np.zeros(0), jac_t)
-    base_jac = sys.constraint_jacobian(x)  # m x n, frozen at x
-    # fail fast on rank loss before iterating
     try:
-        minv_gt = mass_solve(sys, x, base_jac.T)
-        gram = base_jac @ minv_gt  # the Newton Jacobian at lam = 0
-        smallmat.cholesky(gram)
+        position, lam = sys.project_position(x)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
-
-    def residual(lam):
-        return sys.constraint(x + minv_gt @ lam)
-
-    def jacobian(lam):
-        if not any(lam.tolist()):
-            return gram
-        return sys.constraint_jacobian(x + minv_gt @ lam) @ minv_gt
-
-    lam = smallmat.newton_solve(residual, jacobian, np.zeros(sys.m), tol=1e-12)
-    position = x + minv_gt @ lam
     jac_t = None
     if want_jacobian:
         if not any(lam.tolist()):
             # at lam = 0 the implicit Jacobian collapses to the projector
             jac_t = momentum_projector(sys, x)
         else:
-            jac_t = _projection_jacobian_t(sys, x, position, lam, minv_gt)
+            jac_t = _projection_jacobian_t(sys, x, position, lam)
     return ManifoldProjection(position, lam, jac_t)
 
 
-def _projection_jacobian_t(sys, x, position, lam, minv_gt):
+def _projection_jacobian_t(sys, x, position, lam):
     """Transpose of d(position)/dx by implicit differentiation.
 
     Differentiating position = x + M^-1 G(x)^T lam(x) (constant M) and
@@ -111,6 +98,7 @@ def _projection_jacobian_t(sys, x, position, lam, minv_gt):
         d(position)/dx = B - M^-1 G(x)^T S~^-1 G(position) B,
         S~ = G(position) M(x)^-1 G(x)^T.
     """
+    minv_gt = mass_solve(sys, x, sys.constraint_jacobian(x).T)
     b = np.eye(sys.n) + mass_solve(sys, x, sys.constraint_hessian(x, lam))
     jac_pos = sys.constraint_jacobian(position)
     gram = jac_pos @ minv_gt  # m x m, generally non-symmetric

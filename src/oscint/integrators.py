@@ -88,7 +88,7 @@ class MacroMethod:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.h <= 0.0:
+        if not 0.0 < self.h < math.inf:
             raise ValueError("macro stepsize must be positive")
         if self.micro_divisor < 1:
             raise ValueError("micro_divisor must be >= 1")
@@ -230,8 +230,9 @@ def _sampled_run(sys, state, step, h, t_end, stride, observer, label, chunk=1):
     """Run step from state over t_end in units h: the one sampling loop
     of integrate, integrate_micro and effective_reference.
 
-    t_end > 0 must be a whole number of units (see step_count); a horizon
-    shorter than one unit keeps the initial sample only.
+    The unit h must be positive and finite, and t_end > 0 a whole number
+    of units (see step_count); a horizon shorter than one unit keeps the
+    initial sample only.
     step(state, carry, count) advances count units (one, or up to chunk
     without passing a sample) and returns (state, carry, position):
     carry goes to the next call (None on the first), position to the
@@ -240,6 +241,8 @@ def _sampled_run(sys, state, step, h, t_end, stride, observer, label, chunk=1):
     failing call raises IntegrationError with the samples so far and the
     time at which the call started.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step {h!r} must be positive and finite")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if type(stride) is not int or stride < 1:

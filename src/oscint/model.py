@@ -56,9 +56,9 @@ class OscillatorySystem:
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
-    stiff_eig_bound, hess_stiff_contract and constraint_hessian have
-    generic defaults; a model may override them with faster or exact
-    versions.
+    stiff_eig_bound, hess_stiff_contract, constraint_hessian and
+    project_position have generic defaults; a model may override them
+    with faster or exact versions.
     stiff_weights is optional as well.
     """
 
@@ -126,6 +126,37 @@ class OscillatorySystem:
         """
         w = np.asarray(w, dtype=float)
         return _central_differences(lambda z: self.constraint_jacobian(z).T @ w, x).T
+
+    def project_position(self, x):
+        """Mass-metric projection of x onto the constraint manifold:
+        (position, lam) with constraint(position) = 0 and
+        position = x + M(x)^-1 G(x)^T lam.
+
+        Default: a rank check by Cholesky of G M^-1 G^T at x (raising
+        smallmat.NotPositiveDefinite), then smallmat.newton_solve from
+        lam = 0: max-norm tolerance 1e-12, a full step then at most 8
+        halvings until the residual strictly falls, at most 20
+        iterations.  An override must keep every rule of this path (also
+        the pivot test, the singularity threshold of the step,
+        DomainError at x and at every trial point, and the exception
+        classes); its results may differ by rounding.
+        """
+        x = np.asarray(x, dtype=float)
+        base_jac = self.constraint_jacobian(x)  # m x n, frozen at x
+        minv_gt = mass_solve(self, x, base_jac.T)
+        gram = base_jac @ minv_gt  # the Newton Jacobian at lam = 0
+        smallmat.cholesky(gram)  # fail fast on rank loss before iterating
+
+        def residual(lam):
+            return self.constraint(x + minv_gt @ lam)
+
+        def jacobian(lam):
+            if not any(lam.tolist()):
+                return gram
+            return self.constraint_jacobian(x + minv_gt @ lam) @ minv_gt
+
+        lam = smallmat.newton_solve(residual, jacobian, np.zeros(self.m), tol=1e-12)
+        return x + minv_gt @ lam, lam
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = M^-1 y, ydot = -grad stiff / epsilon^2
@@ -393,6 +424,111 @@ class StiffSpringChain(OscillatorySystem):
                 jac[k, 2 * (k - 1)] = -d0 / r
                 jac[k, 2 * k - 1] = -d1 / r
         return jac
+
+    def project_position(self, x):
+        """For two springs with identity mass, the default's rank check
+        and Newton solve on plain floats, under all of the default's
+        rules.  The default sums G^T lam in a numpy matvec, so the two
+        agree to rounding, not bit for bit.  Other chains run the
+        default."""
+        if self.m != 2 or not has_identity_mass(self, x):
+            return super().project_position(x)
+        l1, l2 = self._len
+        hypot = math.hypot
+        tol = 1e-12
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        # G(x) has the rows (u, 0) and (-v, v), u and v the unit segments
+        # of the two springs at x
+        r1 = hypot(x0, x1)
+        if r1 < _MIN_SPRING_LENGTH:
+            raise _collapsed(0, r1)
+        d0 = x2 - x0
+        d1 = x3 - x1
+        r2 = hypot(d0, d1)
+        if r2 < _MIN_SPRING_LENGTH:
+            raise _collapsed(1, r2)
+        u0 = x0 / r1
+        u1 = x1 / r1
+        v0 = d0 / r2
+        v1 = d1 / r2
+        # Cholesky pivots of the Gram matrix G G^T
+        g00 = u0 * u0 + u1 * u1
+        g11 = 2.0 * (v0 * v0 + v1 * v1)
+        pivot_tol = 1e-14 * max(g00, g11)
+        pivot = g00
+        if pivot > pivot_tol:
+            l10 = -(u0 * v0 + u1 * v1) / math.sqrt(g00)
+            pivot = g11 - l10 * l10
+        if not pivot > pivot_tol:
+            raise smallmat.NotPositiveDefinite(
+                f"pivot {pivot:.3e} of G G^T (tolerance {pivot_tol:.3e})"
+            )
+        # Newton on c(x + G(x)^T lam) = 0 from lam = 0, with (a, b) the
+        # unit segments at the current point: the Newton Jacobian
+        # G(point) G(x)^T starts as the Gram matrix
+        c0 = r1 - l1
+        c1 = r2 - l2
+        rnorm = max(abs(c0), abs(c1))
+        if rnorm <= tol:
+            return np.array([x0, x1, x2, x3]), np.zeros(2)
+        lam0 = lam1 = 0.0
+        a0, a1, b0, b1 = u0, u1, v0, v1
+        for _ in range(20):
+            j00 = a0 * u0 + a1 * u1
+            j01 = -(a0 * v0 + a1 * v1)
+            j10 = -(b0 * u0 + b1 * u1)
+            j11 = 2.0 * (b0 * v0 + b1 * v1)
+            s0 = -c0
+            s1 = -c1
+            small = 1e-300 + 1e-15 * max(abs(j00), abs(j01), abs(j10), abs(j11))
+            if abs(j10) > abs(j00):
+                j00, j01, j10, j11, s0, s1 = j10, j11, j00, j01, s1, s0
+            if abs(j00) <= small:
+                raise smallmat.NoConvergence(f"singular Jacobian: pivot {j00:.3e} in column 0")
+            f = j10 / j00
+            if f != 0.0:
+                j11 = j11 - f * j01
+                s1 = s1 - f * s0
+            if abs(j11) <= small:
+                raise smallmat.NoConvergence(f"singular Jacobian: pivot {j11:.3e} in column 1")
+            s1 = s1 / j11
+            s0 = (s0 - j01 * s1) / j00
+            frac = 1.0
+            for _ in range(9):  # full step plus up to 8 halvings
+                t0 = lam0 + frac * s0
+                t1 = lam1 + frac * s1
+                z0 = x0 + (u0 * t0 - v0 * t1)
+                z1 = x1 + (u1 * t0 - v1 * t1)
+                z2 = x2 + v0 * t1
+                z3 = x3 + v1 * t1
+                r1 = hypot(z0, z1)
+                if r1 < _MIN_SPRING_LENGTH:
+                    raise _collapsed(0, r1)
+                d0 = z2 - z0
+                d1 = z3 - z1
+                r2 = hypot(d0, d1)
+                if r2 < _MIN_SPRING_LENGTH:
+                    raise _collapsed(1, r2)
+                c0 = r1 - l1
+                c1 = r2 - l2
+                # both below rnorm: false on a nan, as for smallmat's max-norm
+                if abs(c0) < rnorm and abs(c1) < rnorm:
+                    break
+                frac *= 0.5
+            else:
+                raise smallmat.NoConvergence(
+                    f"line search stalled at residual {rnorm:.3e} (tol {tol:.3e})"
+                )
+            lam0 = t0
+            lam1 = t1
+            rnorm = max(abs(c0), abs(c1))
+            if rnorm <= tol:
+                return np.array([z0, z1, z2, z3]), np.array([lam0, lam1])
+            a0 = z0 / r1
+            a1 = z1 / r1
+            b0 = d0 / r2
+            b1 = d1 / r2
+        raise smallmat.NoConvergence(f"no convergence after 20 iterations, residual {rnorm:.3e}")
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the generic leapfrog unrolled on floats: same

@@ -247,6 +247,11 @@ class TestEffectiveReference:
         with pytest.raises(ValueError, match="t_end must be positive"):
             effective_reference(pendulum, bench_state.x, bench_state.y, 0.01, t_end)
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_step_must_be_positive(self, pendulum, bench_state, h):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            effective_reference(pendulum, bench_state.x, bench_state.y, h, 0.1)
+
     def test_step_failure_carries_partial_trajectory(self, pendulum, bench_state, monkeypatch):
         # the third RATTLE step fails: it starts at t = 2 h_ref, after the
         # samples at steps 0, 1 and 2

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from oscint import (
+    RankDeficient,
     consistent_state,
     make_double_pendulum,
     make_spring_chain,
     momentum_projector,
     project_to_manifold,
 )
-from oscint.model import StiffSpringChain
-from oscint.smallmat import NoConvergence
+from oscint.model import DomainError, OscillatorySystem, StiffSpringChain
+from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
 from conftest import sample_states
+from test_mass_metric import Scaled
 
 
 class TestMomentumProjector:
@@ -161,3 +163,118 @@ class TestConsistentState:
             x2, y2 = consistent_state(pendulum, x1, y1)
             assert np.max(np.abs(x2 - x1)) <= 1e-10
             assert np.max(np.abs(y2 - y1)) <= 1e-10
+
+
+def outcome(run):
+    """run()'s result, or the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def assert_same_failure(sys, x, cls, same_message=True):
+    got = outcome(lambda: sys.project_position(x))
+    want = outcome(lambda: OscillatorySystem.project_position(sys, x))
+    assert type(got) is type(want) is cls
+    if same_message:
+        assert str(got) == str(want)
+
+
+class TestProjectionKernel:
+    """The two-spring chain's float project_position against the generic
+    numpy path, which is its oracle."""
+
+    # both sum G^T lam, once in a numpy matvec and once in floats
+    POS_TOL = 4e-15
+    LAM_TOL = 4e-15
+
+    def test_double_pendulum_has_the_override(self, pendulum):
+        assert type(pendulum).project_position is not OscillatorySystem.project_position
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("elongation", [1.0, 10.0, 30.0])
+    def test_matches_generic_path(self, eps, elongation):
+        sys = make_double_pendulum(eps)
+        for state in sample_states(sys, 60, seed=620, elongation=elongation):
+            want = outcome(lambda: OscillatorySystem.project_position(sys, state.x))
+            if isinstance(want, Exception):
+                assert_same_failure(sys, state.x, type(want))
+                continue
+            pos, lam = sys.project_position(state.x)
+            assert np.max(np.abs(pos - want[0])) <= self.POS_TOL
+            assert np.max(np.abs(lam - want[1])) <= self.LAM_TOL
+            assert np.max(np.abs(sys.constraint(pos))) <= 1e-12
+
+    def test_far_point_same_failure(self, pendulum):
+        assert_same_failure(pendulum, np.array([50.0, 0.0, -50.0, 80.0]), NoConvergence)
+
+    def test_nan_entry_rank_deficient(self, pendulum):
+        for k in range(4):
+            x = np.array([0.7, -0.7, 1.4, 0.05])
+            x[k] = math.nan
+            # the kernel names the failing pivot of G G^T in its own words
+            assert_same_failure(pendulum, x, NotPositiveDefinite, same_message=False)
+            with pytest.raises(RankDeficient):
+                project_to_manifold(pendulum, x)
+
+    def test_collapsed_spring_at_x(self, pendulum):
+        assert_same_failure(pendulum, np.array([0.0, 1e-9, 0.7, -0.7]), DomainError)
+        assert_same_failure(pendulum, np.array([0.7, -0.7, 0.7, -0.7]), DomainError)
+
+    def test_collapse_at_a_trial_point(self):
+        # the first spring's rest length lies below the collapse limit, so
+        # the first full Newton step from an admissible x collapses it
+        sys = make_double_pendulum(1e-2, l1=1e-9)
+        x = np.array([1e-6, 0.0, 1e-6, -1.0])
+        sys.constraint_jacobian(x)  # admissible at x
+        assert_same_failure(sys, x, DomainError)
+
+    def test_halving_branch(self):
+        # the full step and the half step raise the residual, the quarter
+        # step is taken
+        sys = make_double_pendulum(1e-2, l2=0.3)
+        x = np.array([0.05, -0.8, 1.73, 0.86])
+        norms = []
+        constraint = sys.constraint
+
+        def traced(z):
+            c = constraint(z)
+            norms.append(float(np.max(np.abs(c))))
+            return c
+
+        sys.constraint = traced
+        want = OscillatorySystem.project_position(sys, x)
+        del sys.constraint
+        assert any(b >= a for a, b in zip(norms, norms[1:]))
+        pos, lam = sys.project_position(x)
+        assert np.max(np.abs(pos - want[0])) <= self.POS_TOL
+        assert np.max(np.abs(lam - want[1])) <= self.LAM_TOL
+
+    def test_other_models_run_the_default(self, monkeypatch, pendulum):
+        calls = []
+        default = OscillatorySystem.project_position
+
+        def spy(sys, x):
+            calls.append(type(sys).__name__)
+            return default(sys, x)
+
+        monkeypatch.setattr(OscillatorySystem, "project_position", spy)
+        chains = [
+            make_spring_chain(1, 1e-2, [1.0], [1.0]),
+            make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
+        ]
+        for sys in chains:
+            state = sample_states(sys, 1, seed=621)[0]
+            project_to_manifold(sys, state.x)
+        scaled = Scaled(pendulum, np.diag([1.5, 0.7, 2.0, 1.2]))
+        project_to_manifold(scaled, scaled.s_inv @ sample_states(pendulum, 1, seed=622)[0].x)
+        assert calls == ["StiffSpringChain", "StiffSpringChain", "Scaled"]
+        project_to_manifold(pendulum, sample_states(pendulum, 1, seed=623)[0].x)
+        assert len(calls) == 3
+
+    def test_inputs_not_modified(self, pendulum):
+        for state in sample_states(pendulum, 5, seed=624, elongation=10.0):
+            x = state.x.copy()
+            pendulum.project_position(state.x)
+            assert np.array_equal(state.x, x)

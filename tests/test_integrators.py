@@ -495,6 +495,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="stride must be an integer >= 1"):
             integrate(pendulum, bench_state, MacroMethod("projected", 0.05), 0.5, stride=stride)
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_step_must_be_positive(self, pendulum, bench_state, h):
+        with pytest.raises(ValueError, match="macro stepsize must be positive"):
+            MacroMethod("projected", h)
+        # a step set after construction meets the sampling loop's own check
+        method = MacroMethod("projected", 0.05)
+        method.h = h
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            integrate(pendulum, bench_state, method, 0.5)
+
     def test_step_failure_carries_partial_trajectory(self, bench_state):
         sys = make_double_pendulum(1e-2)
         calls = {"n": 0}
@@ -688,3 +698,8 @@ class TestIntegrateMicro:
     def test_stride_must_be_an_integer_at_least_one(self, pendulum, bench_state, stride):
         with pytest.raises(ValueError, match="stride must be an integer >= 1"):
             integrate_micro(pendulum, bench_state, self.H_MICRO, 10, sample_stride=stride)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+    def test_step_must_be_positive(self, pendulum, bench_state, h):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            integrate_micro(pendulum, bench_state, h, 10, sample_stride=1)
