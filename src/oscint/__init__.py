@@ -12,7 +12,6 @@ from .diagnostics import (
     resonance_monitor,
 )
 from .effective import (
-    EffectiveState,
     FrequencySet,
     GapViolation,
     correction_force,

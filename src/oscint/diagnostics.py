@@ -99,8 +99,6 @@ def _mode_split(sys, x, y, pos=None):
     if pos is None:
         pos = project_to_manifold(sys, x).position
     fset = manifold_frequencies(sys, pos)
-    if sys.m == 0:
-        return pos, fset, np.zeros(0)
     offset = x - pos
     if not has_identity_mass(sys, pos):
         offset = sys.mass_matrix(pos) @ offset
@@ -113,13 +111,6 @@ def _mode_split(sys, x, y, pos=None):
 def compute_actions(sys: OscillatorySystem, x, y) -> np.ndarray:
     """Adiabatic mode actions of a bounded-energy state near the manifold."""
     return _mode_split(sys, x, y)[2]
-
-
-@functools.lru_cache(maxsize=None)
-def _combination_patterns(m):
-    """(j, k, l, s2, s3) of every combination omega_j + s2 omega_k +
-    s3 omega_l over m frequencies, in scan order."""
-    return tuple(itertools.product(range(m), range(m), range(m), (1, -1), (1, -1)))
 
 
 def resonance_monitor(omegas):
@@ -140,7 +131,7 @@ def resonance_monitor(omegas):
         for k in range(j + 1, m):
             min_gap = min(min_gap, abs(om[j] - om[k]))
     min_combo = math.inf
-    for j, k, l, s2, s3 in _combination_patterns(m):
+    for j, k, l, s2, s3 in itertools.product(range(m), range(m), range(m), (1, -1), (1, -1)):
         value = om[j] + s2 * om[k] + s3 * om[l]
         min_combo = min(min_combo, abs(value))
     return min_gap, min_combo

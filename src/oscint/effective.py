@@ -11,7 +11,6 @@ and serves as the reference for the macro methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import smallmat
 from .geometry import RankDeficient, consistent_state
 from .integrators import Trajectory, _sampled_run
-from .model import OscillatorySystem, mass_solve, pencil_eig, require_constant_mass
+from .model import OscillatorySystem, State, mass_solve, pencil_eig, require_constant_mass
 
 DEFAULT_GAP_FACTOR = 1e-6
 
@@ -33,20 +32,6 @@ class FrequencySet(NamedTuple):
 
     omegas: np.ndarray
     vectors: np.ndarray
-
-
-@dataclass
-class EffectiveState:
-    """Constrained phase-space point with its frozen actions.
-
-    x sits on the manifold, y is tangential (G M^-1 y = 0), actions
-    stays constant for the whole run.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    actions: np.ndarray
-    t: float = 0.0
 
 
 def frequencies(
@@ -129,22 +114,22 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
     return -(grad_frequencies(sys, x).T @ actions)
 
 
-def effective_energy(sys: OscillatorySystem, es: EffectiveState) -> float:
+def effective_energy(sys: OscillatorySystem, state: State, actions) -> float:
     """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x), x on the manifold."""
-    return _energy_at(sys, es, manifold_frequencies(sys, es.x).omegas)
+    return _energy_at(sys, state, actions, manifold_frequencies(sys, state.x).omegas)
 
 
-def _energy_at(sys, es, omegas):
-    """effective_energy of es with the frequencies omega_k(es.x) given."""
-    kinetic = 0.5 * float(es.y @ mass_solve(sys, es.x, es.y))
-    return kinetic + sys.slow_potential(es.x) + float(es.actions @ omegas)
+def _energy_at(sys, state, actions, omegas):
+    """effective_energy with the frequencies omega_k(state.x) given."""
+    kinetic = 0.5 * float(state.y @ mass_solve(sys, state.x, state.y))
+    return kinetic + sys.slow_potential(state.x) + float(actions @ omegas)
 
 
 def _applied_force(sys, x, actions):
     return -sys.grad_slow(x) + correction_force(sys, x, actions)
 
 
-def _rattle_step_cached(sys, es, h, force0):
+def _rattle_step_cached(sys, state, actions, h, force0):
     """One constrained leapfrog step; returns (next state, end force).
 
     Stage 1 solves the position constraint for the half-step multiplier
@@ -152,12 +137,12 @@ def _rattle_step_cached(sys, es, h, force0):
     SPD solve.
     """
     require_constant_mass(sys)
-    x0 = es.x
-    y0 = es.y
+    x0 = state.x
+    y0 = state.y
     jac0_t = sys.constraint_jacobian(x0).T
 
     if force0 is None:
-        force0 = _applied_force(sys, x0, es.actions)
+        force0 = _applied_force(sys, x0, actions)
 
     def position_of(lam):
         y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
@@ -174,7 +159,7 @@ def _rattle_step_cached(sys, es, h, force0):
     y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
     x1 = x0 + h * mass_solve(sys, x0, y_half)
 
-    force1 = _applied_force(sys, x1, es.actions)
+    force1 = _applied_force(sys, x1, actions)
     jac1 = sys.constraint_jacobian(x1)
     y_free = y_half + 0.5 * h * force1
     gram = jac1 @ mass_solve(sys, x0, jac1.T)
@@ -183,23 +168,23 @@ def _rattle_step_cached(sys, es, h, force0):
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"velocity-stage system not SPD: {exc}") from exc
     y1 = y_free - 0.5 * h * (jac1.T @ mu)
-    nxt = EffectiveState(x1, y1, es.actions, es.t + h)
-    return nxt, force1
+    return State(x1, y1, state.t + h), force1
 
 
-def rattle_step(sys: OscillatorySystem, es: EffectiveState, h: float) -> EffectiveState:
-    """One step of the constrained leapfrog on the effective system."""
-    nxt, _ = _rattle_step_cached(sys, es, h, None)
+def rattle_step(sys: OscillatorySystem, state: State, actions, h: float) -> State:
+    """One step of the constrained leapfrog on the effective system,
+    with the run's frozen actions in the correction force."""
+    nxt, _ = _rattle_step_cached(sys, state, actions, h, None)
     return nxt
 
 
-def constraint_residuals(sys: OscillatorySystem, es: EffectiveState):
+def constraint_residuals(sys: OscillatorySystem, state: State):
     """(position residual, momentum-tangency residual), both max-norm."""
-    pos = float(np.max(np.abs(sys.constraint(es.x)))) if sys.m else 0.0
     if sys.m == 0:
-        return pos, 0.0
-    v = mass_solve(sys, es.x, es.y)
-    mom = float(np.max(np.abs(sys.constraint_jacobian(es.x) @ v)))
+        return 0.0, 0.0
+    pos = float(np.max(np.abs(sys.constraint(state.x))))
+    v = mass_solve(sys, state.x, state.y)
+    mom = float(np.max(np.abs(sys.constraint_jacobian(state.x) @ v)))
     return pos, mom
 
 
@@ -215,7 +200,8 @@ def effective_reference(
     """Reference trajectory of the constrained effective dynamics.
 
     Projects (x0, y0) to consistent data, fixes the actions from the
-    raw initial state, then runs the constrained leapfrog from t = 0 to
+    raw initial state (the step and the records hold them; the samples
+    are plain States), then runs the constrained leapfrog from t = 0 to
     t_end, sampling, checking its input and reporting a failing step as
     integrators.integrate does.
     Sample records carry the effective energy and constraint residuals.
@@ -231,17 +217,17 @@ def effective_reference(
         pos_res, mom_res = constraint_residuals(sys, st)
         return DiagnosticsRecord(
             t=st.t,
-            energy=_energy_at(sys, st, om),
-            actions=st.actions.copy(),
+            energy=_energy_at(sys, st, actions, om),
+            actions=actions.copy(),
             min_gap=gap,
             min_combo=combo,
             constraint_residual=max(pos_res, mom_res),
         )
 
-    def step(es, force, count):
-        return (*_rattle_step_cached(sys, es, h_ref, force), None)
+    def step(state, force, count):
+        return (*_rattle_step_cached(sys, state, actions, h_ref, force), None)
 
     return _sampled_run(
-        sys, EffectiveState(xc, yc, actions, 0.0), step, h_ref, t_end, stride,
+        sys, State(xc, yc, 0.0), step, h_ref, t_end, stride,
         record if with_records else None, "reference",
     )

@@ -40,16 +40,13 @@ def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
     all evaluated at x.  P removes the constraint-normal momentum
     component: G M^-1 P = 0."""
     x = np.asarray(x, dtype=float)
-    n = sys.n
-    if sys.m == 0:
-        return np.eye(n)
     jac = sys.constraint_jacobian(x)
     try:
         minv_gt = mass_solve(sys, x, jac.T)  # n x m
         coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
-    return np.eye(n) - jac.T @ coeff
+    return np.eye(sys.n) - jac.T @ coeff
 
 
 def project_to_manifold(
@@ -70,9 +67,6 @@ def project_to_manifold(
     x = np.asarray(x, dtype=float)
     if want_jacobian:
         require_constant_mass(sys, "the projection Jacobian")
-    if sys.m == 0:
-        jac_t = np.eye(sys.n) if want_jacobian else None
-        return ManifoldProjection(x.copy(), np.zeros(0), jac_t)
     try:
         position, lam = sys.project_position(x)
     except smallmat.NotPositiveDefinite as exc:

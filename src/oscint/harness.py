@@ -63,16 +63,16 @@ class SweepConfig:
                 raise ConfigError(f"unknown method {kind!r}")
         if not self.stepsizes:
             raise ConfigError("stepsizes list is empty")
-        if any(h <= 0.0 for h in self.stepsizes):
-            raise ConfigError("stepsizes must be positive")
+        if not all(0.0 < h < math.inf for h in self.stepsizes):
+            raise ConfigError("stepsizes must be positive and finite")
         if any(a <= b for a, b in zip(self.stepsizes, self.stepsizes[1:])):
             raise ConfigError("stepsizes must be strictly descending")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0, 1)")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
-        if self.h_ref <= 0.0:
-            raise ConfigError("h_ref must be positive")
+        for name in ("t_end", "h_ref"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, not {value!r}")
         for h in [*self.stepsizes, self.h_ref]:
             try:
                 integrators.step_count(self.t_end, h)
@@ -135,6 +135,9 @@ def initial_state(cfg: SweepConfig, sys) -> State:
         raise ConfigError(f"initial state is not numeric: {exc}") from exc
     if x0.shape != (sys.n,) or y0.shape != (sys.n,):
         raise ConfigError(f"initial state must have dimension {sys.n}")
+    for name, values in (("x0", x0), ("y0", y0)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"initial state {name} must be finite, not {values.tolist()}")
     return State(x0, y0, 0.0)
 
 
@@ -219,10 +222,15 @@ def _run_jobs(cfg, sys, s0, ref=None):
 
 def _reference_and_guard(sys, s0, h_ref, t_end):
     """Reference trajectory at h_ref, and the largest change of its
-    positions when h_ref is halved."""
+    positions when h_ref is halved, at their shared sample times (the
+    clock puts every second half step exactly on a reference time)."""
     ref = effective.effective_reference(sys, s0.x, s0.y, h_ref, t_end, with_records=False)
-    ref2 = effective.effective_reference(sys, s0.x, s0.y, 0.5 * h_ref, t_end, with_records=False)
-    return ref, diagnostics.error_metrics(ref, ref2, sys).max_err_x
+    half = effective.effective_reference(
+        sys, s0.x, s0.y, 0.5 * h_ref, t_end, stride=2, with_records=False
+    )
+    if not np.array_equal(ref.t, half.t):
+        raise diagnostics.TimeMismatch("reference and half-step sample times differ")
+    return ref, float(np.max(np.abs(half.x - ref.x)))
 
 
 def run_convergence_sweep(cfg: SweepConfig) -> SweepResult:

@@ -117,9 +117,9 @@ def _check_micro_stability(sys, x, h_micro):
     With identity mass sys.stiff_eig_bound(x) bounds the largest
     eigenvalue of the stiff Hessian; the exact eigensolve runs only when
     that bound does not clear the step with a margin of _BOUND_MARGIN.
+    Unconstrained systems (m = 0) are checked too: their stiff part may
+    still oscillate, and a zero stiff Hessian clears every step.
     """
-    if sys.m == 0:
-        return
     if has_identity_mass(sys, x):
         bound = sys.stiff_eig_bound(x)
         if h_micro * math.sqrt(bound) / sys.epsilon < 2.0 * (1.0 - _BOUND_MARGIN):

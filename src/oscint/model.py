@@ -295,8 +295,9 @@ class StiffSpringChain(OscillatorySystem):
             raise ValueError("chain needs at least one spring")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if min(self.alphas.min(), self.lengths.min()) <= 0.0:
-            raise ValueError("spring parameters must be positive")
+        for name, values in (("alphas", self.alphas), ("lengths", self.lengths)):
+            if not all(0.0 < v < math.inf for v in values.tolist()):
+                raise ValueError(f"spring {name} must be positive and finite: {values.tolist()}")
         self.m = self.alphas.size
         self.n = 2 * self.m
         self._a2 = [a ** 2 for a in self.alphas.tolist()]

@@ -5,6 +5,7 @@ import pytest
 
 from oscint import (
     IntegrationError,
+    State,
     benchmark_initial_state,
     compute_actions,
     consistent_state,
@@ -18,7 +19,6 @@ from oscint import (
 )
 from oscint import effective
 from oscint.effective import (
-    EffectiveState,
     GapViolation,
     constraint_residuals,
     effective_energy,
@@ -182,22 +182,18 @@ class TestRattleStep:
         # hanging chain at rest with zero actions and gravity balanced
         # by the multiplier: nothing moves
         sys = make_spring_chain(1, 1e-2, [1.0], [1.0])
-        es = EffectiveState(
-            x=np.array([0.0, -1.0]),
-            y=np.zeros(2),
-            actions=np.zeros(1),
-        )
-        nxt = rattle_step(sys, es, 1e-2)
+        es = State(x=np.array([0.0, -1.0]), y=np.zeros(2))
+        nxt = rattle_step(sys, es, np.zeros(1), 1e-2)
         assert np.max(np.abs(nxt.x - es.x)) <= 1e-14
         assert np.max(np.abs(nxt.y)) <= 1e-14
 
     def test_constraint_preservation_long_run(self, pendulum, bench_state):
         actions = compute_actions(pendulum, bench_state.x, bench_state.y)
         xc, yc = consistent_state(pendulum, bench_state.x, bench_state.y)
-        es = EffectiveState(xc, yc, actions)
+        es = State(xc, yc)
         worst = 0.0
         for _ in range(10_000):
-            es = rattle_step(pendulum, es, 1e-3)
+            es = rattle_step(pendulum, es, actions, 1e-3)
             pos, mom = constraint_residuals(pendulum, es)
             worst = max(worst, pos, mom)
         assert worst <= 1e-10
@@ -208,9 +204,9 @@ class TestRattleStep:
 
         def advance(h, t_span=0.48):
             # t_span divisible by every h used, so end times coincide
-            es = EffectiveState(xc.copy(), yc.copy(), actions)
+            es = State(xc.copy(), yc.copy())
             for _ in range(int(round(t_span / h))):
-                es = rattle_step(pendulum, es, h)
+                es = rattle_step(pendulum, es, actions, h)
             return es.x
 
         ref = advance(5e-4)
@@ -227,9 +223,9 @@ class TestEffectiveReference:
         rec = traj.records[0]
         assert np.max(np.abs(rec.actions)) <= 1e-10
         # rerun with the correction force forcibly disabled
-        es = EffectiveState(*consistent_state(pendulum, x0, np.zeros(4)), np.zeros(2))
+        es = State(*consistent_state(pendulum, x0, np.zeros(4)))
         for _ in range(200):
-            es = rattle_step(pendulum, es, 1e-3)
+            es = rattle_step(pendulum, es, np.zeros(2), 1e-3)
         assert np.max(np.abs(traj.x[-1] - es.x)) <= 1e-12
 
     def test_step_not_dividing_horizon_rejected(self, pendulum, bench_state):
@@ -285,7 +281,7 @@ class TestEffectiveReference:
     def test_record_energy_is_effective_energy(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-2, 0.2, stride=5)
         for x, y, rec in zip(traj.x, traj.y, traj.records):
-            assert rec.energy == effective_energy(pendulum, EffectiveState(x, y, rec.actions))
+            assert rec.energy == effective_energy(pendulum, State(x, y), rec.actions)
 
     def test_energy_conserved_and_frequencies_separated(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-3, 10.0, stride=10)
@@ -319,11 +315,11 @@ class TestEffectiveReference:
     def test_effective_energy_definition(self, pendulum, bench_state):
         actions = compute_actions(pendulum, bench_state.x, bench_state.y)
         xc, yc = consistent_state(pendulum, bench_state.x, bench_state.y)
-        es = EffectiveState(xc, yc, actions)
+        es = State(xc, yc)
         om = frequencies(pendulum, xc).omegas
         expected = (
             0.5 * float(yc @ yc)
             + pendulum.slow_potential(xc)
             + float(actions @ om)
         )
-        assert effective_energy(pendulum, es) == pytest.approx(expected, rel=1e-14)
+        assert effective_energy(pendulum, es, actions) == pytest.approx(expected, rel=1e-14)

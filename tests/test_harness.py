@@ -59,6 +59,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(tmp_path, model_params={"alpha1": -1.0})
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            (dict(t_end=math.nan), "t_end"),
+            (dict(h_ref=math.inf), "h_ref"),
+            (dict(stepsizes=[math.inf, 0.1]), "stepsizes"),
+            (dict(model_params={"alpha2": math.nan}), "alphas"),
+            (dict(model_params={"l1": math.inf}), "lengths"),
+        ],
+        ids=["nan-t-end", "inf-h-ref", "inf-stepsize", "nan-alpha2", "inf-l1"],
+    )
+    def test_non_finite_value_names_its_field(self, tmp_path, over, field):
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            small_config(tmp_path, **over)
+
+    @pytest.mark.parametrize("field", ["x0", "y0"])
+    def test_non_finite_initial_state_names_its_field(self, tmp_path, field):
+        cfg = small_config(tmp_path, model_params={field: [0.5, math.inf, 1.0, 0.0]})
+        with pytest.raises(ConfigError, match=f"initial state {field} must be finite"):
+            harness.initial_state(cfg, harness.build_system(cfg))
+
     def test_chain_requires_initial_state(self, tmp_path):
         cfg = small_config(
             tmp_path,
@@ -198,6 +219,31 @@ class TestSweep:
         assert math.isnan(failed.max_err_x) and math.isnan(failed.max_action_drift)
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[-1].endswith("RuntimeError")
+
+
+class TestReferenceGuard:
+    @pytest.mark.parametrize("eps, t_end", [(1e-2, 2.0), (1e-3, 1.0)])
+    def test_equals_interpolated_position_error(self, eps, t_end):
+        # oscint check's setting, and eps = 1e-3 as in the canonical sweep
+        sys = model.make_double_pendulum(eps)
+        s0 = model.benchmark_initial_state(eps)
+        ref, guard = harness._reference_and_guard(sys, s0, 1e-3, t_end)
+        half = effective.effective_reference(sys, s0.x, s0.y, 5e-4, t_end, with_records=False)
+        assert np.array_equal(half.t[::2], ref.t)
+        assert guard == diagnostics.error_metrics(ref, half, sys).max_err_x
+
+    def test_sample_times_must_agree(self, pendulum, bench_state, monkeypatch):
+        real = effective.effective_reference
+
+        def shifted(*args, **kw):
+            traj = real(*args, **kw)
+            if kw.get("stride") == 2:
+                traj.t = traj.t + 1e-12
+            return traj
+
+        monkeypatch.setattr(effective, "effective_reference", shifted)
+        with pytest.raises(diagnostics.TimeMismatch):
+            harness._reference_and_guard(pendulum, bench_state, 1e-2, 0.1)
 
 
 class TestActionStudy:
@@ -504,11 +550,16 @@ class TestCli:
             short_json(micro_divisor=2.5),
             short_json(t_end=0.25),
             short_json(h_ref=0.003),
+            short_json(model_params={"alpha1": math.nan}),
+            short_json(model_params={"l2": math.inf}),
+            short_json(model_params={"x0": [math.nan, 0.0, 1.0, 0.0]}),
+            short_json(t_end=math.nan),
         ],
         ids=[
             "string-epsilon", "scalar-stepsizes", "non-object", "scalar-model-params",
             "string-x0", "string-in-y0", "float-workers", "bool-workers", "float-stride",
             "float-micro-divisor", "stepsize-not-dividing-t-end", "h-ref-not-dividing-t-end",
+            "nan-alpha1", "inf-l2", "nan-in-x0", "nan-t-end",
         ],
     )
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, raw):

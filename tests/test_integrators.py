@@ -5,6 +5,7 @@ import pytest
 
 from oscint import (
     DomainError,
+    compute_actions,
     fast_flow,
     hamiltonian,
     integrate,
@@ -12,10 +13,13 @@ from oscint import (
     integrators,
     macro_step,
     make_double_pendulum,
+    make_observer,
     make_spring_chain,
+    momentum_projector,
+    project_to_manifold,
     stormer_verlet,
 )
-from oscint.integrators import IntegrationError, MacroMethod, StabilityViolation
+from oscint.integrators import METHOD_KINDS, IntegrationError, MacroMethod, StabilityViolation
 from oscint.harness import random_bounded_energy_states
 from oscint.model import OscillatorySystem, State, StiffSpringChain
 
@@ -129,6 +133,13 @@ class TestStormerVerlet:
         with pytest.raises(StabilityViolation):
             stormer_verlet(pendulum, bench_state, 2.0 * pendulum.epsilon, 1)
 
+    def test_guard_checks_unconstrained_stiff_part(self):
+        # m = 0, yet the stiff part x^2/2 oscillates with omega/eps = 1:
+        # h_micro = 2.5 is past the limit 2, where the leapfrog blows up
+        s0 = State(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(StabilityViolation, match="stability limit 2.000e"):
+            stormer_verlet(harmonic_1d(), s0, 2.5, 40, include_slow=False)
+
     @pytest.mark.parametrize("cls", [StiffSpringChain, RowSumChain])
     def test_bound_falls_back_to_exact_spectrum(self, cls, monkeypatch, bench_state):
         # between the bound's limit and the exact one the eigensolve
@@ -167,6 +178,53 @@ class TestStormerVerlet:
         pendulum_var.mass_is_constant = False
         with pytest.raises(ValueError):
             stormer_verlet(pendulum_var, bench_state, 1e-5, 1)
+
+
+class TestUnconstrainedSystem:
+    """m = 0 runs the general code paths; they return what a system
+    without constraints must get."""
+
+    x = np.array([0.3, -0.2])
+    y = np.array([0.1, 0.4])
+
+    @staticmethod
+    def free():
+        grad = lambda x: np.array([2.0 * x[0], 1.0])
+        return FreeSlowSystem(n=2, slow=lambda x: x[0] ** 2 + x[1], grad=grad)
+
+    @pytest.mark.parametrize("want_jacobian", [False, True])
+    def test_projection_is_identity(self, want_jacobian):
+        proj = project_to_manifold(self.free(), self.x, want_jacobian=want_jacobian)
+        assert np.array_equal(proj.position, self.x)
+        assert proj.lam.shape == (0,)
+        if want_jacobian:
+            assert np.array_equal(proj.jacobian_t, np.eye(2))
+        else:
+            assert proj.jacobian_t is None
+
+    def test_projector_is_identity(self):
+        assert np.array_equal(momentum_projector(self.free(), self.x), np.eye(2))
+
+    def test_no_actions(self):
+        assert compute_actions(self.free(), self.x, self.y).shape == (0,)
+
+    def test_macro_methods_agree_bitwise(self):
+        # every kick force reduces to grad slow: identity projector and
+        # projection Jacobian, projection onto x itself
+        sys = self.free()
+        s0 = State(self.x, self.y)
+        runs = [
+            integrate(sys, s0, MacroMethod(kind, 0.05, 1), 1.0, observer=make_observer(sys))
+            for kind in METHOD_KINDS
+        ]
+        for traj in runs[1:]:
+            assert np.array_equal(traj.t, runs[0].t)
+            assert np.array_equal(traj.x, runs[0].x)
+            assert np.array_equal(traj.y, runs[0].y)
+        for traj in runs:
+            for rec in traj.records:
+                assert rec.actions.shape == (0,)
+                assert rec.constraint_residual == 0.0
 
 
 class TestFastFlow:

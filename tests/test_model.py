@@ -276,6 +276,20 @@ class TestSpringChain:
         with pytest.raises(ValueError):
             make_double_pendulum(2.0)
 
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            (dict(alpha1=math.nan), "alphas"),
+            (dict(alpha2=math.inf), "alphas"),
+            (dict(l1=-math.inf), "lengths"),
+            (dict(l2=math.inf), "lengths"),
+        ],
+        ids=["nan-alpha1", "inf-alpha2", "minus-inf-l1", "inf-l2"],
+    )
+    def test_non_finite_parameters_rejected(self, params, field):
+        with pytest.raises(ValueError, match=f"spring {field} must be positive and finite"):
+            make_double_pendulum(1e-2, **params)
+
 
 class TestManifoldEquivalence:
     def test_zero_stiff_gradient_iff_zero_constraint(self, pendulum):
