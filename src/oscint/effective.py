@@ -72,21 +72,18 @@ def manifold_frequencies(sys: OscillatorySystem, x) -> FrequencySet:
     S = K^1/2 G M^-1 G^T K^1/2.  For S u = lambda u, omega = sqrt(lambda)
     and v = M^-1 G^T K^1/2 u / omega is the mass-orthonormal mode vector.
     Off the manifold the result differs from frequencies() by O(|c|).
-    Raises GapViolation when the smallest eigenvalue of S is not
-    positive (G lost rank).  A system without stiff_weights falls back
-    to the full pencil, frequencies().
+    The pairs come from sys.manifold_frequencies, on plain floats for
+    the two-spring chain.  Raises GapViolation when the smallest
+    eigenvalue of S is not positive (G lost rank).  A system without
+    stiff_weights falls back to the full pencil, frequencies().
     """
     weights = sys.stiff_weights()
     if weights is None or sys.m == 0:
         return frequencies(sys, x)
-    x = np.asarray(x, dtype=float)
-    a = sys.constraint_jacobian(x).T * np.sqrt(weights)  # G^T K^1/2, n x m
-    b = mass_solve(sys, x, a)
-    pairs = smallmat.sym_eig(a.T @ b)
-    if pairs.values[0] <= 0.0:
-        raise GapViolation(f"constraint Gram eigenvalue not positive: {pairs.values[0]:.3e}")
-    omegas = np.sqrt(pairs.values)
-    return FrequencySet(omegas, (b @ pairs.vectors) / omegas)
+    try:
+        return FrequencySet(*sys.manifold_frequencies(x, weights))
+    except smallmat.NotPositiveDefinite as exc:
+        raise GapViolation(str(exc)) from exc
 
 
 def grad_frequencies(sys: OscillatorySystem, x) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import smallmat
-from .model import OscillatorySystem, mass_solve, require_constant_mass
+from .model import OscillatorySystem, require_constant_mass
 
 
 class RankDeficient(Exception):
@@ -37,16 +37,13 @@ class ManifoldProjection:
 
 def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
     """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
-    all evaluated at x.  P removes the constraint-normal momentum
+    all evaluated at x (sys.momentum_projector: on plain floats for the
+    two-spring chain).  P removes the constraint-normal momentum
     component: G M^-1 P = 0."""
-    x = np.asarray(x, dtype=float)
-    jac = sys.constraint_jacobian(x)
     try:
-        minv_gt = mass_solve(sys, x, jac.T)  # n x m
-        coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
+        return sys.momentum_projector(x)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
-    return np.eye(sys.n) - jac.T @ coeff
 
 
 def project_to_manifold(
@@ -60,7 +57,8 @@ def project_to_manifold(
     floats for the two-spring chain.  A Gram matrix that is not SPD
     raises RankDeficient.  With want_jacobian the exact
     implicit-function Jacobian transpose of the projection map is
-    returned as well; on the manifold it equals the momentum projector
+    returned as well (sys.projection_jacobian_t, on plain floats for the
+    two-spring chain); on the manifold it equals the momentum projector
     exactly.  The Jacobian requires a constant mass matrix (ValueError
     otherwise): it omits the x-derivative of M(x)^-1.
     """
@@ -77,30 +75,11 @@ def project_to_manifold(
             # at lam = 0 the implicit Jacobian collapses to the projector
             jac_t = momentum_projector(sys, x)
         else:
-            jac_t = _projection_jacobian_t(sys, x, position, lam)
+            try:
+                jac_t = sys.projection_jacobian_t(x, position, lam)
+            except smallmat.SingularMatrix as exc:
+                raise RankDeficient(f"projection Jacobian system singular: {exc}") from exc
     return ManifoldProjection(position, lam, jac_t)
-
-
-def _projection_jacobian_t(sys, x, position, lam):
-    """Transpose of d(position)/dx by implicit differentiation.
-
-    Differentiating position = x + M^-1 G(x)^T lam(x) (constant M) and
-    constraint(position(x)) = 0 gives, with D = M^-1 sum_k lam_k
-    hess constraint_k(x) the x-derivative of the map
-    x -> M^-1 G(x)^T lam at frozen lam and B = I + D:
-
-        d(position)/dx = B - M^-1 G(x)^T S~^-1 G(position) B,
-        S~ = G(position) M(x)^-1 G(x)^T.
-    """
-    minv_gt = mass_solve(sys, x, sys.constraint_jacobian(x).T)
-    b = np.eye(sys.n) + mass_solve(sys, x, sys.constraint_hessian(x, lam))
-    jac_pos = sys.constraint_jacobian(position)
-    gram = jac_pos @ minv_gt  # m x m, generally non-symmetric
-    try:
-        coeff = smallmat.solve_dense(gram, jac_pos @ b)
-    except smallmat.SingularMatrix as exc:
-        raise RankDeficient(f"projection Jacobian system singular: {exc}") from exc
-    return (b - minv_gt @ coeff).T
 
 
 def consistent_state(sys: OscillatorySystem, x0, y0):

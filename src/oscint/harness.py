@@ -436,8 +436,32 @@ def _check_reversibility(kind, eps=1e-2, h=0.01, nsteps=100):
     )
 
 
+CHECK_NAMES = (
+    "cholesky_reconstruction",
+    "sym_eig_2x2_closed_form",
+    "gen_eig_orthonormality",
+    "frequency_pair",
+    "projector_idempotent",
+    "projector_annihilates",
+    "projection_onto_manifold",
+    "mollifier_jacobian_scaling",
+    "reversibility_projected",
+    "reversibility_mollified",
+    "reference_convergence",
+)
+
+
 def run_check(inject_fault: Optional[str] = None):
-    """Desk-scale validation suite.  Returns (results, all_passed)."""
+    """Desk-scale validation suite.  Returns (results, all_passed).
+
+    inject_fault names one check of CHECK_NAMES whose bound is set to
+    zero (a negative control); any other name raises ConfigError.
+    """
+    if inject_fault is not None and inject_fault not in CHECK_NAMES:
+        raise ConfigError(
+            f"unknown check {inject_fault!r} for --inject-fault; "
+            f"valid names: {', '.join(CHECK_NAMES)}"
+        )
     results: List[CheckResult] = []
 
     def add_le(name, measured, tol):
@@ -476,6 +500,7 @@ def run_check(inject_fault: Optional[str] = None):
     )
     add_le("reference_convergence", guard, 1e-4)
 
+    assert [r.name for r in results] == list(CHECK_NAMES)
     return results, all(r.passed for r in results)
 
 

@@ -56,9 +56,10 @@ class OscillatorySystem:
     Subclasses provide mass_matrix, slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
-    stiff_eig_bound, hess_stiff_contract, constraint_hessian and
-    project_position have generic defaults; a model may override them
-    with faster or exact versions.
+    stiff_eig_bound, hess_stiff_contract, constraint_hessian,
+    project_position, momentum_projector, projection_jacobian_t and
+    manifold_frequencies have generic defaults; a model may override
+    them with faster or exact versions.
     stiff_weights is optional as well.
     """
 
@@ -157,6 +158,66 @@ class OscillatorySystem:
 
         lam = smallmat.newton_solve(residual, jacobian, np.zeros(self.m), tol=1e-12)
         return x + minv_gt @ lam, lam
+
+    def momentum_projector(self, x) -> np.ndarray:
+        """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
+        all at x (geometry.momentum_projector).
+
+        Default: S by numpy, then smallmat.solve_spd, raising
+        smallmat.NotPositiveDefinite when M or S is not SPD.  An override
+        must keep the pivot test and the exception classes.
+        """
+        x = np.asarray(x, dtype=float)
+        jac = self.constraint_jacobian(x)
+        minv_gt = mass_solve(self, x, jac.T)  # n x m
+        coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
+        return np.eye(self.n) - jac.T @ coeff
+
+    def projection_jacobian_t(self, x, position, lam) -> np.ndarray:
+        """Transpose of d(position)/dx for the projection (position, lam)
+        of x (project_position), by implicit differentiation.
+
+        Differentiating position = x + M^-1 G(x)^T lam(x) (constant M) and
+        constraint(position(x)) = 0 gives, with D = M^-1 sum_k lam_k
+        hess constraint_k(x) the x-derivative of the map
+        x -> M^-1 G(x)^T lam at frozen lam and B = I + D:
+
+            d(position)/dx = B - M^-1 G(x)^T S~^-1 G(position) B,
+            S~ = G(position) M(x)^-1 G(x)^T.
+
+        Default: numpy products and smallmat.solve_dense, raising
+        smallmat.SingularMatrix when S~ is singular.  An override must
+        keep that threshold and the exception classes.
+        """
+        minv_gt = mass_solve(self, x, self.constraint_jacobian(x).T)
+        b = np.eye(self.n) + mass_solve(self, x, self.constraint_hessian(x, lam))
+        jac_pos = self.constraint_jacobian(position)
+        gram = jac_pos @ minv_gt  # m x m, generally non-symmetric
+        coeff = smallmat.solve_dense(gram, jac_pos @ b)
+        return (b - minv_gt @ coeff).T
+
+    def manifold_frequencies(self, x, weights):
+        """(omegas, vectors) from the m x m SPD matrix
+        S = K^1/2 G M^-1 G^T K^1/2 at x for the stiff weights K
+        (effective.manifold_frequencies): for S u = lambda u, ascending,
+        omega = sqrt(lambda) and the mass-orthonormal mode vector
+        v = M^-1 G^T K^1/2 u / omega.
+
+        Default: S by numpy, then smallmat.sym_eig, raising
+        smallmat.NotPositiveDefinite when the smallest eigenvalue is not
+        positive.  An override must keep sym_eig's rotation formulas,
+        its order and its exceptions.
+        """
+        x = np.asarray(x, dtype=float)
+        a = self.constraint_jacobian(x).T * np.sqrt(weights)  # G^T K^1/2, n x m
+        b = mass_solve(self, x, a)
+        pairs = smallmat.sym_eig(a.T @ b)
+        if pairs.values[0] <= 0.0:
+            raise smallmat.NotPositiveDefinite(
+                f"constraint Gram eigenvalue not positive: {pairs.values[0]:.3e}"
+            )
+        omegas = np.sqrt(pairs.values)
+        return omegas, (b @ pairs.vectors) / omegas
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = M^-1 y, ydot = -grad stiff / epsilon^2
@@ -258,6 +319,25 @@ def _chain_matrix(n, blocks):
 
 def _collapsed(k, r):
     return DomainError(f"spring {k} length collapsed: {r:.3e}")
+
+
+def _pair_columns(segs):
+    """Columns (G_0j, G_1j), j = 0..3, of the two-spring constraint
+    Jacobian, from the segments (d0, d1, r) of its springs."""
+    (d0, d1, r1), (e0, e1, r2) = segs
+    v0 = e0 / r2
+    v1 = e1 / r2
+    return (d0 / r1, -v0), (d1 / r1, -v1), (0.0, v0), (0.0, v1)
+
+
+def _pair_gram(cols):
+    """Entries (s00, s01, s11) of A^T A for the rows (a_j0, a_j1) of A."""
+    s00 = s01 = s11 = 0.0
+    for a0, a1 in cols:
+        s00 += a0 * a0
+        s01 += a0 * a1
+        s11 += a1 * a1
+    return s00, s01, s11
 
 
 @dataclass
@@ -530,6 +610,124 @@ class StiffSpringChain(OscillatorySystem):
             b0 = d0 / r2
             b1 = d1 / r2
         raise smallmat.NoConvergence(f"no convergence after 20 iterations, residual {rnorm:.3e}")
+
+    # The three kernels below replace, for two springs with identity
+    # mass, a default's numpy products and smallmat solve with one pass
+    # on floats under the same rules.  Numpy sums its products in another
+    # order, so results agree with the default to rounding, not bit for
+    # bit.  Other chains run the defaults.
+
+    def momentum_projector(self, x):
+        """P = I - G^T S^-1 G through the Cholesky factor of S = G G^T,
+        with smallmat.cholesky's pivot test and message."""
+        if self.m != 2 or not has_identity_mass(self, x):
+            return super().momentum_projector(x)
+        cols = _pair_columns(self._segments(x))
+        s00, s01, s11 = _pair_gram(cols)
+        # nan when the diagonal holds a nan, as smallmat._max makes it
+        tol = math.nan if math.isnan(s00 + s11) else 1e-14 * max(s00, s11, 0.0)
+        if not s00 > tol:
+            raise smallmat.NotPositiveDefinite(f"pivot {s00:.3e} at index 0 (tolerance {tol:.3e})")
+        l00 = math.sqrt(s00)
+        l10 = s01 / l00
+        pivot = s11 - l10 * l10
+        if not pivot > tol:
+            raise smallmat.NotPositiveDefinite(f"pivot {pivot:.3e} at index 1 (tolerance {tol:.3e})")
+        l11 = math.sqrt(pivot)
+        # column j of S^-1 G by the forward and the back substitution
+        coeff = []
+        for g0, g1 in cols:
+            z0 = g0 / l00
+            w1 = (g1 - l10 * z0) / l11 / l11
+            coeff.append(((z0 - l10 * w1) / l00, w1))
+        p = [[-(g0 * w0 + g1 * w1) for w0, w1 in coeff] for g0, g1 in cols]
+        for i in range(4):
+            p[i][i] += 1.0
+        return np.array(p)
+
+    def projection_jacobian_t(self, x, position, lam):
+        """B = I + D from the constraint_hessian blocks, then the 2 x 2
+        system S~ by elimination with partial pivoting and
+        smallmat.solve_dense's singularity threshold and message."""
+        if self.m != 2 or not has_identity_mass(self, x):
+            return super().projection_jacobian_t(x, position, lam)
+        (d0, d1, r1), (e0, e1, r2) = self._segments(x)
+        (f0, f1, s1), (g0, g1, s2) = self._segments(position)
+        u0, u1, v0, v1 = d0 / r1, d1 / r1, e0 / r2, e1 / r2  # G(x) = ((u, 0), (-v, v))
+        p0, p1, q0, q1 = f0 / s1, f1 / s1, g0 / s2, g1 / s2  # G(position)
+        # B = I + D from constraint_hessian's blocks h and k of the two
+        # springs: h on bob 1, k with + on both bobs' diagonal blocks and
+        # - off them
+        w0, w1 = np.asarray(lam, dtype=float).tolist()
+        t = w0 / (r1 * r1 * r1)
+        h00, h01, h11 = t * (d1 * d1), -t * (d0 * d1), t * (d0 * d0)
+        t = w1 / (r2 * r2 * r2)
+        k00, k01, k11 = t * (e1 * e1), -t * (e0 * e1), t * (e0 * e0)
+        b = (
+            (1.0 + (h00 + k00), h01 + k01, -k00, -k01),
+            (h01 + k01, 1.0 + (h11 + k11), -k01, -k11),
+            (-k00, -k01, 1.0 + k00, k01),
+            (-k01, -k11, k01, 1.0 + k11),
+        )
+        # S~ = G(position) G(x)^T and the right-hand side G(position) B,
+        # B's columns being its rows
+        j00 = p0 * u0 + p1 * u1
+        j01 = -(p0 * v0) - p1 * v1
+        j10 = -(q0 * u0) - q1 * u1
+        j11 = 2.0 * (q0 * v0 + q1 * v1)
+        rhs0 = [p0 * b0 + p1 * b1 for b0, b1, _, _ in b]
+        rhs1 = [q0 * (b2 - b0) + q1 * (b3 - b1) for b0, b1, b2, b3 in b]
+        small = 1e-300 + 1e-15 * max(abs(j00), abs(j01), abs(j10), abs(j11))
+        if abs(j10) > abs(j00):
+            j00, j01, j10, j11, rhs0, rhs1 = j10, j11, j00, j01, rhs1, rhs0
+        if abs(j00) <= small:
+            raise smallmat.SingularMatrix(f"pivot {j00:.3e} in column 0")
+        f = j10 / j00
+        if f != 0.0:
+            j11 = j11 - f * j01
+            rhs1 = [v - f * w for v, w in zip(rhs1, rhs0)]
+        if abs(j11) <= small:
+            raise smallmat.SingularMatrix(f"pivot {j11:.3e} in column 1")
+        sol1 = [v / j11 for v in rhs1]
+        sol0 = [(v - j01 * w) / j00 for v, w in zip(rhs0, sol1)]
+        # row j of the transpose of B - G(x)^T S~^-1 G(position) B, from
+        # column j of the solution
+        return np.array([
+            [b0 - (u0 * t0 - v0 * t1), b1 - (u1 * t0 - v1 * t1), b2 - v0 * t1, b3 - v1 * t1]
+            for (b0, b1, b2, b3), t0, t1 in zip(b, sol0, sol1)
+        ])
+
+    def manifold_frequencies(self, x, weights):
+        """S = A^T A with A = G^T K^1/2, then smallmat.sym_eig's single
+        Jacobi rotation of a 2 x 2 matrix (the same tau, t, c and s, the
+        same stopping test and ascending order) and its exceptions."""
+        if self.m != 2 or not has_identity_mass(self, x):
+            return super().manifold_frequencies(x, weights)
+        k0, k1 = (math.sqrt(w) for w in np.asarray(weights, dtype=float).tolist())
+        rows = [(g0 * k0, g1 * k1) for g0, g1 in _pair_columns(self._segments(x))]
+        s00, s01, s11 = _pair_gram(rows)
+        if not (math.isfinite(s00) and math.isfinite(s01) and math.isfinite(s11)):
+            raise smallmat.NoConvergence("matrix has non-finite entries")
+        c, s = 1.0, 0.0
+        norm = math.sqrt(s00 * s00 + s01 * s01 + s01 * s01 + s11 * s11)
+        if math.sqrt(2.0 * (s01 * s01)) > 1e-15 * norm:
+            tau = (s11 - s00) / (2.0 * s01)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            s00, s11 = s00 - t * s01, s11 + t * s01
+        # eigenvector columns (c, -s) for s00 and (s, c) for s11
+        pairs = [(s00, c, -s), (s11, s, c)]
+        if s11 < s00:
+            pairs.reverse()
+        (lo, u0, u1), (hi, v0, v1) = pairs
+        if lo <= 0.0:
+            raise smallmat.NotPositiveDefinite(f"constraint Gram eigenvalue not positive: {lo:.3e}")
+        om0 = math.sqrt(lo)
+        om1 = math.sqrt(hi)
+        return np.array([om0, om1]), np.array(
+            [[(a0 * u0 + a1 * u1) / om0, (a0 * v0 + a1 * v1) / om1] for a0, a1 in rows]
+        )
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the generic leapfrog unrolled on floats: same

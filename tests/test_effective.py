@@ -25,7 +25,12 @@ from oscint.effective import (
     effective_reference,
 )
 
+from oscint.model import DomainError, OscillatorySystem
+from oscint.smallmat import NoConvergence, NotPositiveDefinite
+
 from conftest import fd_grad_frequencies, sample_states
+from test_geometry import assert_same_failure_of, outcome
+from test_mass_metric import Scaled, Weighted
 
 
 def on_manifold_config():
@@ -86,6 +91,89 @@ class TestManifoldFrequencies:
         sys = Degenerate(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
         with pytest.raises(GapViolation, match="not positive"):
             manifold_frequencies(sys, on_manifold_config())
+
+
+class TestManifoldFrequenciesKernel:
+    """The two-spring chain's float manifold_frequencies against the
+    generic numpy default, which is its oracle."""
+
+    TOL = 1e-14
+
+    def test_double_pendulum_has_the_override(self, pendulum):
+        assert type(pendulum).manifold_frequencies is not OscillatorySystem.manifold_frequencies
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("elongation", [1.0, 10.0, 30.0])
+    def test_matches_generic_path(self, eps, elongation):
+        sys = make_double_pendulum(eps, 1.3, 0.7, 1.1, 0.9)
+        weights = sys.stiff_weights()
+        for state in sample_states(sys, 60, seed=640, elongation=elongation):
+            # the raw position is a valid input too: S is SPD off the
+            # manifold; a stalled projection is TestProjectionKernel's case
+            projection = outcome(lambda: sys.project_position(state.x))
+            starts = [state.x] if isinstance(projection, Exception) else [state.x, projection[0]]
+            for x in starts:
+                got = sys.manifold_frequencies(x, weights)
+                want = OscillatorySystem.manifold_frequencies(sys, x, weights)
+                assert np.max(np.abs(got[0] - want[0])) <= self.TOL
+                assert np.max(np.abs(got[1] - want[1])) <= self.TOL
+
+    def test_no_rotation_branch(self, pendulum):
+        # springs at right angles: S is diagonal, so Jacobi rotates
+        # nothing, and the weights put the larger entry first
+        x = on_manifold_config()
+        for weights in (np.array([1.0, 0.25]), np.array([0.25, 1.0])):
+            got = pendulum.manifold_frequencies(x, weights)
+            want = OscillatorySystem.manifold_frequencies(pendulum, x, weights)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_same_failures(self, pendulum):
+        weights = pendulum.stiff_weights()
+        for k in range(4):
+            x = on_manifold_config()
+            x[k] = math.nan
+            assert_same_failure_of(pendulum, "manifold_frequencies", (x, weights), NoConvergence)
+        for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
+            assert_same_failure_of(
+                pendulum, "manifold_frequencies", (collapsed, weights), DomainError
+            )
+        assert_same_failure_of(
+            pendulum, "manifold_frequencies", (on_manifold_config(), np.array([1.0, 0.0])),
+            NotPositiveDefinite,
+        )
+
+    def test_other_models_run_the_default(self, monkeypatch, pendulum):
+        calls = []
+        default = OscillatorySystem.manifold_frequencies
+
+        def spy(sys, x, weights):
+            calls.append(type(sys).__name__)
+            return default(sys, x, weights)
+
+        monkeypatch.setattr(OscillatorySystem, "manifold_frequencies", spy)
+        for sys in (
+            make_spring_chain(1, 1e-2, [1.0], [1.0]),
+            make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
+        ):
+            manifold_frequencies(sys, sample_states(sys, 1, seed=641)[0].x)
+        # Scaled declares no stiff weights and takes the full pencil;
+        # Weighted declares them and runs the default through M^-1
+        s = np.diag([1.5, 0.7, 2.0, 1.2])
+        x = np.linalg.inv(s) @ on_manifold_config()
+        manifold_frequencies(Scaled(pendulum, s), x)
+        manifold_frequencies(Weighted(pendulum, s), x)
+        assert calls == ["StiffSpringChain", "StiffSpringChain", "Weighted"]
+        manifold_frequencies(pendulum, on_manifold_config())
+        assert len(calls) == 3
+
+    def test_inputs_not_modified(self, pendulum):
+        for state in sample_states(pendulum, 5, seed=642, elongation=10.0):
+            x = state.x.copy()
+            weights = pendulum.stiff_weights()
+            pendulum.manifold_frequencies(state.x, weights)
+            assert np.array_equal(state.x, x)
+            assert np.array_equal(weights, pendulum.stiff_weights())
 
 
 class TestGradFrequencies:

@@ -11,6 +11,7 @@ from oscint import (
     momentum_projector,
     project_to_manifold,
 )
+from oscint import smallmat
 from oscint.model import DomainError, OscillatorySystem, StiffSpringChain
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
@@ -278,3 +279,138 @@ class TestProjectionKernel:
             x = state.x.copy()
             pendulum.project_position(state.x)
             assert np.array_equal(state.x, x)
+
+
+def assert_same_failure_of(sys, name, args, cls):
+    """The override and the default of contract method `name` raise the
+    same exception, of class cls, with the same message."""
+    got = outcome(lambda: getattr(sys, name)(*args))
+    want = outcome(lambda: getattr(OscillatorySystem, name)(sys, *args))
+    assert type(got) is type(want) is cls
+    assert str(got) == str(want)
+
+
+def assert_same_outcome(got_run, want_run, tol):
+    """Both runs raise the same exception class, or return arrays that
+    agree within tol with nan in the same entries."""
+    got = outcome(got_run)
+    want = outcome(want_run)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        return
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.max(np.abs(got[ok] - want[ok]), initial=0.0) <= tol
+
+
+class TestProjectorAndJacobianKernels:
+    """The two-spring chain's float momentum_projector and
+    projection_jacobian_t against the generic numpy defaults, which are
+    their oracles."""
+
+    TOL = 1e-14
+
+    def test_double_pendulum_has_the_overrides(self, pendulum):
+        for name in ("momentum_projector", "projection_jacobian_t"):
+            assert getattr(type(pendulum), name) is not getattr(OscillatorySystem, name)
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("elongation", [1.0, 10.0, 30.0])
+    def test_matches_generic_path(self, eps, elongation):
+        sys = make_double_pendulum(eps)
+        for state in sample_states(sys, 60, seed=630, elongation=elongation):
+            got = sys.momentum_projector(state.x)
+            want = OscillatorySystem.momentum_projector(sys, state.x)
+            assert np.max(np.abs(got - want)) <= self.TOL
+            projection = outcome(lambda: sys.project_position(state.x))
+            if isinstance(projection, Exception):
+                continue  # a stalled projection: TestProjectionKernel's case
+            pos, lam = projection
+            got = sys.projection_jacobian_t(state.x, pos, lam)
+            want = OscillatorySystem.projection_jacobian_t(sys, state.x, pos, lam)
+            assert np.max(np.abs(got - want)) <= self.TOL
+
+    def test_nan_entries(self, pendulum):
+        x0 = np.array([0.7, -0.7, 1.4, 0.05])
+        pos, lam = pendulum.project_position(x0)
+        for k in range(4):
+            x = x0.copy()
+            x[k] = math.nan
+            assert_same_failure_of(pendulum, "momentum_projector", (x,), NotPositiveDefinite)
+            with pytest.raises(RankDeficient):
+                momentum_projector(pendulum, x)
+            with pytest.raises(RankDeficient):
+                project_to_manifold(pendulum, x, want_jacobian=True)
+            # the Jacobian itself raises nothing: nan spreads as in numpy
+            for args in ((x, pos, lam), (x0, x, lam), (x0, pos, x[1::2])):
+                assert_same_outcome(
+                    lambda: pendulum.projection_jacobian_t(*args),
+                    lambda: OscillatorySystem.projection_jacobian_t(pendulum, *args),
+                    self.TOL,
+                )
+
+    def test_collapsed_spring(self, pendulum):
+        fine = np.array([0.7, -0.7, 1.4, 0.05])
+        lam = np.array([1e-3, -2e-3])
+        for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
+            assert_same_failure_of(pendulum, "momentum_projector", (collapsed,), DomainError)
+            assert_same_failure_of(pendulum, "projection_jacobian_t", (collapsed, fine, lam), DomainError)
+            assert_same_failure_of(pendulum, "projection_jacobian_t", (fine, collapsed, lam), DomainError)
+
+    def test_pivoting_branches(self, pendulum):
+        x = np.array([1.0, 0.0, 1.0, -1.0])  # first unit segment u = (1, 0)
+        lam = np.array([1e-3, -2e-3])
+        # the rows of G(position) G(x)^T must swap: the position's first
+        # segment is orthogonal to u, its second one is u
+        position = np.array([0.0, 1.0, 1.0, 1.0])
+        got = pendulum.projection_jacobian_t(x, position, lam)
+        want = OscillatorySystem.projection_jacobian_t(pendulum, x, position, lam)
+        assert np.max(np.abs(got - want)) <= self.TOL
+        # a zero first column: both of the position's segments are
+        # orthogonal to u
+        position = np.array([0.0, 1.0, 0.0, 2.0])
+        assert_same_failure_of(
+            pendulum, "projection_jacobian_t", (x, position, lam), smallmat.SingularMatrix
+        )
+
+    def test_other_models_run_the_default(self, monkeypatch, pendulum):
+        calls = []
+        for name in ("momentum_projector", "projection_jacobian_t"):
+            default = getattr(OscillatorySystem, name)
+
+            def spy(sys, *args, _name=name, _default=default):
+                calls.append((_name, type(sys).__name__))
+                return _default(sys, *args)
+
+            monkeypatch.setattr(OscillatorySystem, name, spy)
+        chains = [
+            make_spring_chain(1, 1e-2, [1.0], [1.0]),
+            make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
+        ]
+        for sys in chains:
+            x = sample_states(sys, 1, seed=631, elongation=10.0)[0].x
+            momentum_projector(sys, x)
+            project_to_manifold(sys, x, want_jacobian=True)
+        scaled = Scaled(pendulum, np.diag([1.5, 0.7, 2.0, 1.2]))
+        x = scaled.s_inv @ sample_states(pendulum, 1, seed=632, elongation=10.0)[0].x
+        momentum_projector(scaled, x)
+        project_to_manifold(scaled, x, want_jacobian=True)
+        assert calls == [
+            (name, model)
+            for model in ("StiffSpringChain", "StiffSpringChain", "Scaled")
+            for name in ("momentum_projector", "projection_jacobian_t")
+        ]
+        x = sample_states(pendulum, 1, seed=633, elongation=10.0)[0].x
+        momentum_projector(pendulum, x)
+        project_to_manifold(pendulum, x, want_jacobian=True)
+        assert len(calls) == 6
+
+    def test_inputs_not_modified(self, pendulum):
+        for state in sample_states(pendulum, 5, seed=634, elongation=10.0):
+            x = state.x.copy()
+            pendulum.momentum_projector(state.x)
+            pos, lam = pendulum.project_position(state.x)
+            kept = (pos.copy(), lam.copy())
+            pendulum.projection_jacobian_t(state.x, pos, lam)
+            assert np.array_equal(state.x, x)
+            assert np.array_equal(pos, kept[0]) and np.array_equal(lam, kept[1])

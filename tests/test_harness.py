@@ -457,6 +457,33 @@ class TestPerformanceGuard:
         assert 2.0 * 0.7 <= long / short <= 2.0 * 1.3
 
 
+class TestMicroStepCount:
+    def test_micro_steps_double_with_t_end(self, tmp_path, monkeypatch):
+        # the exact counterpart of TestPerformanceGuard's timing band: the
+        # same sweep, its micro steps counted through a spy on stiff_flow
+        steps = []
+        flow = model.StiffSpringChain.stiff_flow
+
+        def counting(sys, x, y, h_micro, nsteps):
+            steps.append(nsteps)
+            return flow(sys, x, y, h_micro, nsteps)
+
+        monkeypatch.setattr(model.StiffSpringChain, "stiff_flow", counting)
+
+        def counted_sweep(t_end):
+            steps.clear()
+            cfg = small_config(
+                tmp_path, methods=["projected"], stepsizes=[0.1],
+                t_end=t_end, h_ref=5e-3, epsilon=2e-3,
+            )
+            harness.run_convergence_sweep(cfg)
+            return sum(steps)
+
+        short = counted_sweep(1.0)
+        assert short > 0
+        assert counted_sweep(2.0) == 2 * short
+
+
 class TestRunCheck:
     def test_all_pass(self):
         results, ok = harness.run_check()
@@ -480,6 +507,11 @@ class TestRunCheck:
         out = capsys.readouterr().out
         assert "FAIL frequency_pair" in out
         assert "measured=" in out and "tolerance=" in out
+
+    def test_unknown_fault_name_is_config_error(self):
+        with pytest.raises(ConfigError, match="no_such_check") as info:
+            harness.run_check(inject_fault="no_such_check")
+        assert all(name in str(info.value) for name in harness.CHECK_NAMES)
 
 
 class TestCli:
@@ -515,6 +547,11 @@ class TestCli:
 
     def test_check_fault_injection_exit_code(self):
         assert cli.main(["check", "--inject-fault", "frequency_pair"]) == 1
+
+    def test_unknown_fault_name_exit_code(self, capsys):
+        assert cli.main(["check", "--inject-fault", "no_such_check"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "frequency_pair" in err
 
     def test_actions_subcommand(self, tmp_path):
         out = tmp_path / "acts.csv"
