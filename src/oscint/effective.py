@@ -5,8 +5,8 @@ governed by the slow potential plus a correction potential
 sum_k I_k * omega_k(X), where the omega_k are the square roots of the
 nonzero generalized eigenvalues of the pencil (stiff Hessian, mass) and
 the I_k are the fixed mode actions of the initial data.  A constrained
-leapfrog (RATTLE-style, two multiplier stages) integrates this system
-and serves as the reference for the macro methods.
+leapfrog (RATTLE, from the contract's projection and projector)
+integrates this system and serves as the reference for the macro methods.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import smallmat
-from .geometry import RankDeficient, consistent_state
+from .geometry import RankDeficient, consistent_state, momentum_projector
 from .integrators import Trajectory, _sampled_run
 from .model import OscillatorySystem, State, mass_solve, pencil_eig, require_constant_mass
 
@@ -129,50 +129,31 @@ def _applied_force(sys, x, actions):
 def _rattle_step_cached(sys, state, actions, h, force0):
     """One constrained leapfrog step; returns (next state, end force).
 
-    Stage 1 solves the position constraint for the half-step multiplier
-    by Newton, stage 2 enforces the tangency of the end momentum by one
-    SPD solve.
+    Kick, projection, kick, projector.  With mu = -(h^2/2) lam for the
+    half-step multiplier lam, the position stage solves
+    constraint(z + M^-1 G(x0)^T mu) = 0 for the drifted point
+    z = x0 + h M^-1 (y0 + h/2 f0): sys.project_position with base z.
+    The velocity stage is the momentum projector at the end point.
     """
     require_constant_mass(sys)
     x0 = state.x
-    y0 = state.y
-    jac0_t = sys.constraint_jacobian(x0).T
-
     if force0 is None:
         force0 = _applied_force(sys, x0, actions)
-
-    def position_of(lam):
-        y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
-        return x0 + h * mass_solve(sys, x0, y_half)
-
-    def residual(lam):
-        return sys.constraint(position_of(lam))
-
-    def jacobian(lam):
-        jac1 = sys.constraint_jacobian(position_of(lam))
-        return -0.5 * h * h * (jac1 @ mass_solve(sys, x0, jac0_t))
-
-    lam = smallmat.newton_solve(residual, jacobian, np.zeros(sys.m), tol=1e-12)
-    y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
-    x1 = x0 + h * mass_solve(sys, x0, y_half)
-
-    force1 = _applied_force(sys, x1, actions)
-    jac1 = sys.constraint_jacobian(x1)
-    y_free = y_half + 0.5 * h * force1
-    gram = jac1 @ mass_solve(sys, x0, jac1.T)
+    y_kick = state.y + 0.5 * h * force0
     try:
-        mu = smallmat.solve_spd(gram, jac1 @ mass_solve(sys, x0, y_free)) * (2.0 / h)
+        x1, mu = sys.project_position(x0, base=x0 + h * mass_solve(sys, x0, y_kick))
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"velocity-stage system not SPD: {exc}") from exc
-    y1 = y_free - 0.5 * h * (jac1.T @ mu)
+        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
+    y_half = y_kick + sys.constraint_jacobian(x0).T @ mu / h
+    force1 = _applied_force(sys, x1, actions)
+    y1 = momentum_projector(sys, x1) @ (y_half + 0.5 * h * force1)
     return State(x1, y1, state.t + h), force1
 
 
 def rattle_step(sys: OscillatorySystem, state: State, actions, h: float) -> State:
     """One step of the constrained leapfrog on the effective system,
     with the run's frozen actions in the correction force."""
-    nxt, _ = _rattle_step_cached(sys, state, actions, h, None)
-    return nxt
+    return _rattle_step_cached(sys, state, actions, h, None)[0]
 
 
 def constraint_residuals(sys: OscillatorySystem, state: State):

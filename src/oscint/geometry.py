@@ -55,12 +55,13 @@ def project_to_manifold(
     by default a Newton solve of constraint(x + M(x)^-1 G(x)^T lam) = 0
     from lam = 0 (tolerance 1e-12, at most 20 iterations), on plain
     floats for the two-spring chain.  A Gram matrix that is not SPD
-    raises RankDeficient.  With want_jacobian the exact
-    implicit-function Jacobian transpose of the projection map is
-    returned as well (sys.projection_jacobian_t, on plain floats for the
-    two-spring chain); on the manifold it equals the momentum projector
-    exactly.  The Jacobian requires a constant mass matrix (ValueError
-    otherwise): it omits the x-derivative of M(x)^-1.
+    raises RankDeficient; a failed solve raises NoConvergence with the
+    constraint residual at x before the solver's message.  With
+    want_jacobian the exact implicit-function Jacobian transpose of the
+    projection map is returned as well (sys.projection_jacobian_t, on
+    plain floats for the two-spring chain); on the manifold it equals
+    the momentum projector exactly.  The Jacobian requires a constant
+    mass matrix (ValueError otherwise): it omits the x-derivative of M^-1.
     """
     x = np.asarray(x, dtype=float)
     if want_jacobian:
@@ -69,6 +70,9 @@ def project_to_manifold(
         position, lam = sys.project_position(x)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
+    except smallmat.NoConvergence as exc:
+        start = ", ".join(f"{v:.3g}" for v in sys.constraint(x).tolist())
+        raise smallmat.NoConvergence(f"start residual c(x) = ({start}): {exc}") from exc
     jac_t = None
     if want_jacobian:
         if not any(lam.tolist()):

@@ -14,7 +14,6 @@ import math
 import os
 import sys as _sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -215,6 +214,9 @@ def _run_jobs(cfg, sys, s0, ref=None):
     configured order, on cfg.workers processes."""
     jobs = [(sys, s0, cfg, kind, h, ref) for kind in cfg.methods for h in cfg.stepsizes]
     if cfg.workers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             return list(pool.map(_run_one, jobs))
     return [_run_one(job) for job in jobs]

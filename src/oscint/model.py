@@ -128,36 +128,34 @@ class OscillatorySystem:
         w = np.asarray(w, dtype=float)
         return _central_differences(lambda z: self.constraint_jacobian(z).T @ w, x).T
 
-    def project_position(self, x):
-        """Mass-metric projection of x onto the constraint manifold:
-        (position, lam) with constraint(position) = 0 and
-        position = x + M(x)^-1 G(x)^T lam.
+    def project_position(self, x, base=None):
+        """Mass-metric projection onto the constraint manifold along the
+        directions at x: (position, lam) with constraint(position) = 0
+        and position = base + M(x)^-1 G(x)^T lam, base = x by default.
 
         Default: a rank check by Cholesky of G M^-1 G^T at x (raising
         smallmat.NotPositiveDefinite), then smallmat.newton_solve from
-        lam = 0: max-norm tolerance 1e-12, a full step then at most 8
-        halvings until the residual strictly falls, at most 20
-        iterations.  An override must keep every rule of this path (also
-        the pivot test, the singularity threshold of the step,
-        DomainError at x and at every trial point, and the exception
-        classes); its results may differ by rounding.
+        lam = 0 (the base point): max-norm tolerance 1e-12, a full step
+        then at most 8 halvings until the residual strictly falls, at
+        most 20 iterations.  An override must keep every rule of this
+        path (also the pivot test, the singularity threshold of the
+        step, DomainError at x and at every trial point from the base
+        on, and the exception classes); its results may differ by rounding.
         """
         x = np.asarray(x, dtype=float)
-        base_jac = self.constraint_jacobian(x)  # m x n, frozen at x
-        minv_gt = mass_solve(self, x, base_jac.T)
-        gram = base_jac @ minv_gt  # the Newton Jacobian at lam = 0
-        smallmat.cholesky(gram)  # fail fast on rank loss before iterating
+        base = x if base is None else np.asarray(base, dtype=float)
+        frozen_jac = self.constraint_jacobian(x)  # m x n, frozen at x
+        minv_gt = mass_solve(self, x, frozen_jac.T)
+        smallmat.cholesky(frozen_jac @ minv_gt)  # fail fast on rank loss before iterating
 
         def residual(lam):
-            return self.constraint(x + minv_gt @ lam)
+            return self.constraint(base + minv_gt @ lam)
 
         def jacobian(lam):
-            if not any(lam.tolist()):
-                return gram
-            return self.constraint_jacobian(x + minv_gt @ lam) @ minv_gt
+            return self.constraint_jacobian(base + minv_gt @ lam) @ minv_gt
 
         lam = smallmat.newton_solve(residual, jacobian, np.zeros(self.m), tol=1e-12)
-        return x + minv_gt @ lam, lam
+        return base + minv_gt @ lam, lam
 
     def momentum_projector(self, x) -> np.ndarray:
         """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
@@ -506,14 +504,16 @@ class StiffSpringChain(OscillatorySystem):
                 jac[k, 2 * k - 1] = -d1 / r
         return jac
 
-    def project_position(self, x):
+    def project_position(self, x, base=None):
         """For two springs with identity mass, the default's rank check
         and Newton solve on plain floats, under all of the default's
         rules.  The default sums G^T lam in a numpy matvec, so the two
         agree to rounding, not bit for bit.  Other chains run the
         default."""
         if self.m != 2 or not has_identity_mass(self, x):
-            return super().project_position(x)
+            if base is None:
+                return super().project_position(x)
+            return super().project_position(x, base)
         l1, l2 = self._len
         hypot = math.hypot
         tol = 1e-12
@@ -544,16 +544,28 @@ class StiffSpringChain(OscillatorySystem):
             raise smallmat.NotPositiveDefinite(
                 f"pivot {pivot:.3e} of G G^T (tolerance {pivot_tol:.3e})"
             )
-        # Newton on c(x + G(x)^T lam) = 0 from lam = 0, with (a, b) the
-        # unit segments at the current point: the Newton Jacobian
-        # G(point) G(x)^T starts as the Gram matrix
+        if base is not None:
+            # from here on (x0, x1, x2, x3) is the base point
+            x0, x1, x2, x3 = np.asarray(base, dtype=float).tolist()
+            r1 = hypot(x0, x1)
+            if r1 < _MIN_SPRING_LENGTH:
+                raise _collapsed(0, r1)
+            d0 = x2 - x0
+            d1 = x3 - x1
+            r2 = hypot(d0, d1)
+            if r2 < _MIN_SPRING_LENGTH:
+                raise _collapsed(1, r2)
+        # Newton on c(base + G(x)^T lam) = 0 from lam = 0, with (a, b)
+        # the unit segments at the current point: the Newton Jacobian is
+        # G(point) G(x)^T
         c0 = r1 - l1
         c1 = r2 - l2
-        rnorm = max(abs(c0), abs(c1))
+        # nan on a nan residual, as smallmat._max makes it
+        rnorm = math.nan if math.isnan(c0 + c1) else max(abs(c0), abs(c1))
         if rnorm <= tol:
             return np.array([x0, x1, x2, x3]), np.zeros(2)
         lam0 = lam1 = 0.0
-        a0, a1, b0, b1 = u0, u1, v0, v1
+        a0, a1, b0, b1 = x0 / r1, x1 / r1, d0 / r2, d1 / r2
         for _ in range(20):
             j00 = a0 * u0 + a1 * u1
             j01 = -(a0 * v0 + a1 * v1)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oscint import benchmark_initial_state, frequencies, make_double_pendulum
-from oscint.smallmat import NotPositiveDefinite, SingularMatrix
+from oscint.effective import _applied_force
+from oscint.model import State, mass_solve
+from oscint.smallmat import NotPositiveDefinite, SingularMatrix, newton_solve, solve_spd
 
 # near-manifold states with springs stretched by O(elongation*eps); the
 # draws depend only on the seed, so rebuilding the system at another
@@ -162,3 +164,37 @@ def np_hess_chain(sys, x):
             h[j:j + 2, i:i + 2] -= blk
             h[i:i + 2, j:j + 2] -= blk
     return h
+
+
+def np_rattle_step(sys, state, actions, h):
+    """The RATTLE step as the library had it before it moved onto the
+    projection contract: its own Newton closures on the half-step
+    multiplier lam and one SPD solve for the velocity stage.  The oracle
+    of effective.rattle_step."""
+    x0 = state.x
+    y0 = state.y
+    jac0_t = sys.constraint_jacobian(x0).T
+    force0 = _applied_force(sys, x0, actions)
+
+    def position_of(lam):
+        y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
+        return x0 + h * mass_solve(sys, x0, y_half)
+
+    def residual(lam):
+        return sys.constraint(position_of(lam))
+
+    def jacobian(lam):
+        jac1 = sys.constraint_jacobian(position_of(lam))
+        return -0.5 * h * h * (jac1 @ mass_solve(sys, x0, jac0_t))
+
+    lam = newton_solve(residual, jacobian, np.zeros(sys.m), tol=1e-12)
+    y_half = y0 + 0.5 * h * (force0 - jac0_t @ lam)
+    x1 = x0 + h * mass_solve(sys, x0, y_half)
+
+    force1 = _applied_force(sys, x1, actions)
+    jac1 = sys.constraint_jacobian(x1)
+    y_free = y_half + 0.5 * h * force1
+    gram = jac1 @ mass_solve(sys, x0, jac1.T)
+    mu = solve_spd(gram, jac1 @ mass_solve(sys, x0, y_free)) * (2.0 / h)
+    y1 = y_free - 0.5 * h * (jac1.T @ mu)
+    return State(x1, y1, state.t + h)

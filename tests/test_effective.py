@@ -5,6 +5,7 @@ import pytest
 
 from oscint import (
     IntegrationError,
+    RankDeficient,
     State,
     benchmark_initial_state,
     compute_actions,
@@ -28,7 +29,7 @@ from oscint.effective import (
 from oscint.model import DomainError, OscillatorySystem
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
-from conftest import fd_grad_frequencies, sample_states
+from conftest import fd_grad_frequencies, np_rattle_step, sample_states
 from test_geometry import assert_same_failure_of, outcome
 from test_mass_metric import Scaled, Weighted
 
@@ -301,6 +302,76 @@ class TestRattleStep:
         err1 = np.max(np.abs(advance(8e-3) - ref))
         err2 = np.max(np.abs(advance(4e-3) - ref))
         assert 3.4 <= err1 / err2 <= 4.6
+
+
+class Degenerate(OscillatorySystem):
+    """Constraints x0 = 0 and x0 + x1^2 = 0 under gravity along x2, unit
+    mass: the two rows of G coincide where x1 = 0."""
+
+    n = 3
+    m = 2
+    epsilon = 1e-2
+    mass_is_constant = True
+
+    def mass_matrix(self, x):
+        return np.eye(3)
+
+    def grad_slow(self, x):
+        return np.array([0.0, 0.0, 1.0])
+
+    def constraint(self, x):
+        return np.array([x[0], x[0] + x[1] ** 2])
+
+    def constraint_jacobian(self, x):
+        return np.array([[1.0, 0.0, 0.0], [1.0, 2.0 * x[1], 0.0]])
+
+
+class TestRattleOnTheContract:
+    """The step built from project_position and momentum_projector
+    against the closure-based step it replaced (np_rattle_step)."""
+
+    TOL = 1e-13
+
+    @staticmethod
+    def cases(which, pendulum):
+        """(system, seeded states) of one model: the two-spring chain runs
+        the float kernels, the other chains and Scaled (constant mass,
+        not the identity) the contract defaults."""
+        if which == "scaled":
+            sys = Scaled(pendulum, np.diag([1.5, 0.7, 2.0, 1.2]))
+            states = sample_states(pendulum, 8, seed=630)
+            return sys, [State(*sys.to_scaled(st.x, st.y)) for st in states]
+        springs = {"one-spring": 1, "two-spring": 2, "three-spring": 3}[which]
+        alphas, lengths = [1.0, 1.3, 0.8][:springs], [1.0, 0.7, 1.2][:springs]
+        sys = make_spring_chain(springs, 1e-2, alphas, lengths)
+        return sys, sample_states(sys, 8, seed=630)
+
+    @pytest.mark.parametrize("which", ["two-spring", "one-spring", "three-spring", "scaled"])
+    def test_matches_closure_oracle(self, pendulum, which):
+        sys, states = self.cases(which, pendulum)
+        for state in states:
+            actions = compute_actions(sys, state.x, state.y)
+            es = State(*consistent_state(sys, state.x, state.y))
+            for h in (1e-3, 1e-2, 5e-2):
+                got = rattle_step(sys, es, actions, h)
+                want = np_rattle_step(sys, es, actions, h)
+                assert np.max(np.abs(got.x - want.x)) <= self.TOL
+                assert np.max(np.abs(got.y - want.y)) <= self.TOL
+                assert got.t == want.t
+
+    def test_rank_deficient_start(self, pendulum):
+        # the rank check at x0 fails before the Newton solve starts; the
+        # closure-based step met the singular Newton Jacobian instead
+        sys = Degenerate()
+        es = State(np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(NoConvergence):
+            np_rattle_step(sys, es, np.zeros(2), 1e-2)
+        with pytest.raises(RankDeficient):
+            rattle_step(sys, es, np.zeros(2), 1e-2)
+        # the two-spring float path: G G^T fails its pivot test on a nan
+        es = State(np.array([0.7, math.nan, 1.4, -0.7]), np.zeros(4))
+        with pytest.raises(RankDeficient):
+            rattle_step(pendulum, es, np.zeros(2), 1e-2)
 
 
 class TestEffectiveReference:

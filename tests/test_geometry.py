@@ -111,6 +111,19 @@ class TestProjectToManifold:
         with pytest.raises(NoConvergence):
             project_to_manifold(pendulum, np.array([50.0, 0.0, -50.0, 80.0]))
 
+    @pytest.mark.parametrize("index, start", [(73, "(0.498, 0.588)"), (197, "(0.548, 0.53)")])
+    def test_failure_names_the_start_residual(self, index, start):
+        # springs stretched by about half their length: the solve stalls,
+        # and the message says how far off the manifold it started
+        sys = make_double_pendulum(2e-2)
+        x = sample_states(sys, 300, seed=7, elongation=30.0)[index].x
+        with pytest.raises(NoConvergence) as err:
+            project_to_manifold(sys, x)
+        cause = err.value.__cause__
+        assert isinstance(cause, NoConvergence)
+        assert "line search stalled" in str(cause)
+        assert str(err.value) == f"start residual c(x) = {start}: {cause}"
+
 
 class TestVariableMassDeclared:
     """The exact projection Jacobian omits the x-derivative of M(x)^-1, so
@@ -251,6 +264,50 @@ class TestProjectionKernel:
         pos, lam = sys.project_position(x)
         assert np.max(np.abs(pos - want[0])) <= self.POS_TOL
         assert np.max(np.abs(lam - want[1])) <= self.LAM_TOL
+
+    def test_base_defaults_to_x_bitwise(self, pendulum):
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        for sys in (pendulum, chain):
+            for state in sample_states(sys, 10, seed=625, elongation=10.0):
+                for project in (type(sys).project_position, OscillatorySystem.project_position):
+                    pos, lam = project(sys, state.x)
+                    pos_b, lam_b = project(sys, state.x, base=state.x.copy())
+                    assert np.array_equal(pos, pos_b) and np.array_equal(lam, lam_b)
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-2, 1e-3])
+    def test_base_point_matches_generic_path(self, eps):
+        # the RATTLE position stage: the drifted point of a consistent
+        # state, projected along the directions at the state
+        sys = make_double_pendulum(eps)
+        for state in sample_states(sys, 30, seed=626):
+            x, y = consistent_state(sys, state.x, state.y)
+            for h in (1e-3, 1e-2, 1e-1):
+                base = x + h * (y - 0.5 * h * sys.grad_slow(x))
+                pos, lam = sys.project_position(x, base=base)
+                want = OscillatorySystem.project_position(sys, x, base=base)
+                assert np.max(np.abs(pos - want[0])) <= 1e-15
+                assert np.max(np.abs(lam - want[1])) <= 1e-15
+                assert np.max(np.abs(sys.constraint(pos))) <= 1e-12
+
+    @staticmethod
+    def assert_same_failure_at(sys, x, base, cls):
+        got = outcome(lambda: sys.project_position(x, base=base))
+        want = outcome(lambda: OscillatorySystem.project_position(sys, x, base=base))
+        assert type(got) is type(want) is cls
+        assert str(got) == str(want)
+
+    def test_collapsed_base_point(self, pendulum):
+        x = np.array([0.7, -0.7, 1.4, -1.4])
+        for base in (np.array([0.0, 1e-9, 1.4, -1.4]), np.array([0.7, -0.7, 0.7, -0.7])):
+            self.assert_same_failure_at(pendulum, x, base, DomainError)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_point(self, pendulum, bad):
+        x = np.array([0.7, -0.7, 1.4, -1.4])
+        for k in range(4):
+            base = x.copy()
+            base[k] = bad
+            self.assert_same_failure_at(pendulum, x, base, NoConvergence)
 
     def test_other_models_run_the_default(self, monkeypatch, pendulum):
         calls = []

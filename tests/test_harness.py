@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,12 +275,13 @@ class TestActionStudy:
     def test_workers_use_the_pool_and_match_serial(self, tmp_path, monkeypatch):
         pools = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # the harness imports the pool inside the run that needs it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         outputs = {}
         for workers in (1, 2):
             out = tmp_path / f"w{workers}.csv"
@@ -288,6 +293,16 @@ class TestActionStudy:
             outputs[workers] = (out.read_bytes(), (tmp_path / f"w{workers}.summary.csv").read_bytes())
         assert pools == [{"max_workers": 2}]
         assert outputs[2] == outputs[1]
+
+    def test_import_loads_no_process_pool(self):
+        # a serial run never needs the pool: its import stays off the
+        # set-up path
+        code = "import sys, oscint.harness; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert out.stdout.strip() == "False"
 
     def test_summary_path(self):
         assert harness._summary_path("out.csv") == "out.summary.csv"
@@ -424,10 +439,10 @@ class TestLazyRecords:
         assert failed.method == "impulse"
         assert math.isnan(failed.max_err_x) and math.isnan(failed.max_action_drift)
         rows_csv = cfg.out if study == "run_convergence_sweep" else harness._summary_path(cfg.out)
-        lines = open(rows_csv, encoding="utf-8").read().splitlines()
+        lines = Path(rows_csv).read_text(encoding="utf-8").splitlines()
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == statuses
         if study == "run_action_study":
-            series = open(cfg.out, encoding="utf-8").read().splitlines()
+            series = Path(cfg.out).read_text(encoding="utf-8").splitlines()
             assert not any(line.startswith("impulse,0.1,") for line in series)
             assert len(series) == 1 + 2 * 6
 
