@@ -48,7 +48,6 @@ from .model import (
     hamiltonian,
     make_double_pendulum,
     make_spring_chain,
-    mass_solve,
 )
 from .smallmat import (
     EigenPairs,

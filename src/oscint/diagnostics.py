@@ -16,7 +16,7 @@ import numpy as np
 from .effective import frequencies, manifold_frequencies
 from .geometry import momentum_projector, project_to_manifold
 from .integrators import Trajectory
-from .model import OscillatorySystem, State, hamiltonian, has_identity_mass
+from .model import OscillatorySystem, State, hamiltonian
 
 
 class TimeMismatch(Exception):
@@ -30,6 +30,11 @@ class DiagnosticsRecord:
     constraint_residual are either given to the constructor or, in a
     record made by from_sample, computed from the sampled state and
     frequencies when first read and then kept.
+
+    constraint_residual is max_k |c_k(x)| in the records of make_observer
+    and the larger of max_k |c_k(x)| and max_k |(G y)_k| in those of
+    effective.effective_reference, whose samples must also keep the
+    momenta tangent.
     """
 
     def __init__(self, t, energy, actions, min_gap, min_combo, constraint_residual):
@@ -88,10 +93,10 @@ def _mode_split(sys, x, y, pos=None):
 
     The position is projected onto the manifold, unless the caller
     passes that projection as pos; the offset from it, expressed in the
-    mass-orthonormal pencil modes, carries the fast oscillation.  Each
-    mode's action is its energy over its frequency:
+    orthonormal fast modes, carries the fast oscillation.  Each mode's
+    action is its energy over its frequency:
 
-        c_k = v_k^T M (x - X),  cdot_k = v_k^T y,
+        c_k = v_k^T (x - X),  cdot_k = v_k^T y,
         I_k = (cdot_k^2 / 2 + (omega_k/eps)^2 c_k^2 / 2) / omega_k.
     """
     x = np.asarray(x, dtype=float)
@@ -99,10 +104,7 @@ def _mode_split(sys, x, y, pos=None):
     if pos is None:
         pos = project_to_manifold(sys, x).position
     fset = manifold_frequencies(sys, pos)
-    offset = x - pos
-    if not has_identity_mass(sys, pos):
-        offset = sys.mass_matrix(pos) @ offset
-    coords = fset.vectors.T @ offset
+    coords = fset.vectors.T @ (x - pos)
     velocities = fset.vectors.T @ y
     energies = 0.5 * velocities ** 2 + 0.5 * (fset.omegas / sys.epsilon) ** 2 * coords ** 2
     return pos, fset, energies / fset.omegas
@@ -148,8 +150,8 @@ def make_observer(sys: OscillatorySystem):
     """Observer producing a DiagnosticsRecord per sampled state.
 
     The observer takes (system, state, position); position is the
-    mass-metric projection of state.x onto the manifold when the caller
-    has it, and None (the default) makes the observer project itself.
+    projection of state.x onto the manifold when the caller has it, and
+    None (the default) makes the observer project itself.
     A record computes t and the actions at once; energy, min_gap,
     min_combo and constraint_residual are computed from the sampled
     state and frequencies when first read (DiagnosticsRecord.from_sample).

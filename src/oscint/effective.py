@@ -3,10 +3,10 @@
 In the stiff limit the dynamics lives on the constraint manifold and is
 governed by the slow potential plus a correction potential
 sum_k I_k * omega_k(X), where the omega_k are the square roots of the
-nonzero generalized eigenvalues of the pencil (stiff Hessian, mass) and
-the I_k are the fixed mode actions of the initial data.  A constrained
-leapfrog (RATTLE, from the contract's projection and projector)
-integrates this system and serves as the reference for the macro methods.
+nonzero eigenvalues of the stiff Hessian and the I_k are the fixed mode
+actions of the initial data.  A constrained leapfrog (RATTLE, from the
+contract's projection and projector) integrates this system and serves
+as the reference for the macro methods.
 """
 
 from __future__ import annotations
@@ -18,17 +18,17 @@ import numpy as np
 from . import smallmat
 from .geometry import RankDeficient, consistent_state, momentum_projector
 from .integrators import Trajectory, _sampled_run
-from .model import OscillatorySystem, State, mass_solve, pencil_eig, require_constant_mass
+from .model import OscillatorySystem, State
 
 DEFAULT_GAP_FACTOR = 1e-6
 
 
 class GapViolation(Exception):
-    """Pencil spectrum no longer splits into null and fast parts."""
+    """Stiff Hessian spectrum no longer splits into null and fast parts."""
 
 
 class FrequencySet(NamedTuple):
-    """Fast frequencies (ascending) with mass-orthonormal mode vectors."""
+    """Fast frequencies (ascending) with orthonormal mode vectors."""
 
     omegas: np.ndarray
     vectors: np.ndarray
@@ -39,7 +39,7 @@ def frequencies(
 ) -> FrequencySet:
     """Fast frequencies at a configuration on (or near) the manifold.
 
-    Solves the generalized eigenproblem of (stiff Hessian, mass); the
+    Solves the symmetric eigenproblem of the stiff Hessian; the
     d = n - m smallest eigenvalues must be negligible against the
     (d+1)-st (factor gap_factor), otherwise the configuration left the
     validity region and GapViolation is raised.
@@ -48,12 +48,12 @@ def frequencies(
     m = sys.m
     if m == 0:
         return FrequencySet(np.zeros(0), np.zeros((sys.n, 0)))
-    pairs = pencil_eig(sys, x, sys.hess_stiff(x))
+    pairs = smallmat.sym_eig(sys.hess_stiff(x))
     values = pairs.values
     d = sys.n - m
     fast = values[d:]
     if fast[0] <= 0.0:
-        raise GapViolation(f"fast pencil eigenvalue not positive: {fast[0]:.3e}")
+        raise GapViolation(f"fast Hessian eigenvalue not positive: {fast[0]:.3e}")
     null_size = float(np.max(np.abs(values[:d]))) if d > 0 else 0.0
     if null_size > gap_factor * fast[0]:
         raise GapViolation(
@@ -67,15 +67,15 @@ def manifold_frequencies(sys: OscillatorySystem, x) -> FrequencySet:
     """Fast frequencies at a configuration x on the manifold.
 
     With stiff(x) = 1/2 sum_k K_k c_k(x)^2 (K from stiff_weights) the
-    stiff Hessian at c = 0 is G^T K G, and the nonzero spectrum of the
-    pencil (G^T K G, M) is that of the m x m SPD matrix
-    S = K^1/2 G M^-1 G^T K^1/2.  For S u = lambda u, omega = sqrt(lambda)
-    and v = M^-1 G^T K^1/2 u / omega is the mass-orthonormal mode vector.
+    stiff Hessian at c = 0 is G^T K G, and its nonzero spectrum is that
+    of the m x m SPD matrix S = K^1/2 G G^T K^1/2.  For S u = lambda u,
+    omega = sqrt(lambda) and v = G^T K^1/2 u / omega is the orthonormal
+    mode vector.
     Off the manifold the result differs from frequencies() by O(|c|).
     The pairs come from sys.manifold_frequencies, on plain floats for
     the two-spring chain.  Raises GapViolation when the smallest
     eigenvalue of S is not positive (G lost rank).  A system without
-    stiff_weights falls back to the full pencil, frequencies().
+    stiff_weights falls back to the full Hessian, frequencies().
     """
     weights = sys.stiff_weights()
     if weights is None or sys.m == 0:
@@ -90,8 +90,8 @@ def grad_frequencies(sys: OscillatorySystem, x) -> np.ndarray:
     """Row k holds the ambient-coordinate gradient of omega_k at a
     configuration x on the manifold.
 
-    Exact by first-order perturbation of the pencil (constant mass,
-    mass-orthonormal v_k, simple omega_k^2 guaranteed by the gap check):
+    Exact by first-order perturbation of the stiff Hessian (orthonormal
+    v_k, simple omega_k^2 guaranteed by the gap check):
     d omega_k / dx_j = v_k^T (d_j hess_stiff) v_k / (2 omega_k), with the
     eigenpairs from manifold_frequencies.
     """
@@ -112,13 +112,13 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
 
 
 def effective_energy(sys: OscillatorySystem, state: State, actions) -> float:
-    """1/2 y^T M^-1 y + slow(x) + sum_k I_k omega_k(x), x on the manifold."""
+    """1/2 y^T y + slow(x) + sum_k I_k omega_k(x), x on the manifold."""
     return _energy_at(sys, state, actions, manifold_frequencies(sys, state.x).omegas)
 
 
 def _energy_at(sys, state, actions, omegas):
     """effective_energy with the frequencies omega_k(state.x) given."""
-    kinetic = 0.5 * float(state.y @ mass_solve(sys, state.x, state.y))
+    kinetic = 0.5 * float(state.y @ state.y)
     return kinetic + sys.slow_potential(state.x) + float(actions @ omegas)
 
 
@@ -131,19 +131,18 @@ def _rattle_step_cached(sys, state, actions, h, force0):
 
     Kick, projection, kick, projector.  With mu = -(h^2/2) lam for the
     half-step multiplier lam, the position stage solves
-    constraint(z + M^-1 G(x0)^T mu) = 0 for the drifted point
-    z = x0 + h M^-1 (y0 + h/2 f0): sys.project_position with base z.
+    constraint(z + G(x0)^T mu) = 0 for the drifted point
+    z = x0 + h (y0 + h/2 f0): sys.project_position with base z.
     The velocity stage is the momentum projector at the end point.
     """
-    require_constant_mass(sys)
     x0 = state.x
     if force0 is None:
         force0 = _applied_force(sys, x0, actions)
     y_kick = state.y + 0.5 * h * force0
     try:
-        x1, mu = sys.project_position(x0, base=x0 + h * mass_solve(sys, x0, y_kick))
+        x1, mu = sys.project_position(x0, base=x0 + h * y_kick)
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
+        raise RankDeficient(f"constraint Gram matrix not SPD at x: {exc}") from exc
     y_half = y_kick + sys.constraint_jacobian(x0).T @ mu / h
     force1 = _applied_force(sys, x1, actions)
     y1 = momentum_projector(sys, x1) @ (y_half + 0.5 * h * force1)
@@ -161,8 +160,7 @@ def constraint_residuals(sys: OscillatorySystem, state: State):
     if sys.m == 0:
         return 0.0, 0.0
     pos = float(np.max(np.abs(sys.constraint(state.x))))
-    v = mass_solve(sys, state.x, state.y)
-    mom = float(np.max(np.abs(sys.constraint_jacobian(state.x) @ v)))
+    mom = float(np.max(np.abs(sys.constraint_jacobian(state.x) @ state.y)))
     return pos, mom
 
 
@@ -182,7 +180,9 @@ def effective_reference(
     are plain States), then runs the constrained leapfrog from t = 0 to
     t_end, sampling, checking its input and reporting a failing step as
     integrators.integrate does.
-    Sample records carry the effective energy and constraint residuals.
+    Sample records carry the effective energy and, as
+    constraint_residual, the larger of the position and momentum
+    residuals of constraint_residuals.
     """
     from .diagnostics import DiagnosticsRecord, compute_actions, resonance_monitor
 

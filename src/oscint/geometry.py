@@ -1,8 +1,8 @@
 """Constraint-manifold geometry.
 
 The momentum projector that removes constraint-normal momentum
-components, the mass-metric position projection onto the manifold with
-its exact Jacobian, and the map to consistent initial data for the
+components, the position projection onto the manifold with its exact
+Jacobian, and the map to consistent initial data for the
 constrained effective dynamics.
 """
 
@@ -14,11 +14,11 @@ from typing import Optional
 import numpy as np
 
 from . import smallmat
-from .model import OscillatorySystem, require_constant_mass
+from .model import OscillatorySystem
 
 
 class RankDeficient(Exception):
-    """Constraint Jacobian lost full rank (G M^-1 G^T not SPD)."""
+    """Constraint Jacobian lost full rank (G G^T not SPD)."""
 
 
 @dataclass
@@ -26,7 +26,7 @@ class ManifoldProjection:
     """Result of projecting a position onto the constraint manifold.
 
     position satisfies constraint(position) = 0; the multiplier lam
-    realizes position = x + M(x)^-1 G(x)^T lam.  jacobian_t is the
+    realizes position = x + G(x)^T lam.  jacobian_t is the
     transpose of d(position)/dx when requested, None otherwise.
     """
 
@@ -36,23 +36,24 @@ class ManifoldProjection:
 
 
 def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
-    """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
-    all evaluated at x (sys.momentum_projector: on plain floats for the
+    """Orthogonal projector P = I - G^T S^-1 G with S = G G^T, all
+    evaluated at x (sys.momentum_projector: on plain floats for the
     two-spring chain).  P removes the constraint-normal momentum
-    component: G M^-1 P = 0."""
+    component: G P = 0."""
     try:
         return sys.momentum_projector(x)
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
+        raise RankDeficient(f"constraint Gram matrix not SPD at x: {exc}") from exc
 
 
 def project_to_manifold(
     sys: OscillatorySystem, x, want_jacobian: bool = False
 ) -> ManifoldProjection:
-    """Mass-metric projection of x onto the constraint manifold.
+    """Projection of x onto the constraint manifold along the normal
+    directions at x.
 
     The position and its m multipliers come from sys.project_position:
-    by default a Newton solve of constraint(x + M(x)^-1 G(x)^T lam) = 0
+    by default a Newton solve of constraint(x + G(x)^T lam) = 0
     from lam = 0 (tolerance 1e-12, at most 20 iterations), on plain
     floats for the two-spring chain.  A Gram matrix that is not SPD
     raises RankDeficient; a failed solve raises NoConvergence with the
@@ -60,16 +61,13 @@ def project_to_manifold(
     want_jacobian the exact implicit-function Jacobian transpose of the
     projection map is returned as well (sys.projection_jacobian_t, on
     plain floats for the two-spring chain); on the manifold it equals
-    the momentum projector exactly.  The Jacobian requires a constant
-    mass matrix (ValueError otherwise): it omits the x-derivative of M^-1.
+    the momentum projector exactly.
     """
     x = np.asarray(x, dtype=float)
-    if want_jacobian:
-        require_constant_mass(sys, "the projection Jacobian")
     try:
         position, lam = sys.project_position(x)
     except smallmat.NotPositiveDefinite as exc:
-        raise RankDeficient(f"mass or constraint Gram matrix not SPD at x: {exc}") from exc
+        raise RankDeficient(f"constraint Gram matrix not SPD at x: {exc}") from exc
     except smallmat.NoConvergence as exc:
         start = ", ".join(f"{v:.3g}" for v in sys.constraint(x).tolist())
         raise smallmat.NoConvergence(f"start residual c(x) = ({start}): {exc}") from exc
@@ -89,9 +87,9 @@ def project_to_manifold(
 def consistent_state(sys: OscillatorySystem, x0, y0):
     """Consistent initial data for the constrained effective system.
 
-    Positions are projected onto the manifold in the mass metric, then
-    the momentum projector at the projected position removes the
-    constraint-normal momentum component.
+    Positions are projected onto the manifold, then the momentum
+    projector at the projected position removes the constraint-normal
+    momentum component.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)

@@ -113,7 +113,9 @@ def build_system(cfg: SweepConfig):
     try:
         if cfg.model == "double_pendulum":
             return model.make_double_pendulum(cfg.epsilon, **params)
-        n_springs = int(params.pop("N"))
+        n_springs = params.pop("N")
+        if type(n_springs) is not int or n_springs < 1:
+            raise ConfigError(f"model_params.N must be an integer >= 1, not {n_springs!r}")
         return model.make_spring_chain(n_springs, cfg.epsilon, **params)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot build model {cfg.model!r}: {exc}") from exc

@@ -5,11 +5,10 @@ fast-flow solver runs it with the slow force switched off.  That stiff
 sub-flow goes through the system's stiff_flow, which the two-spring chain
 overrides with a bit-identical loop on plain floats: on vectors of four
 entries numpy's per-call overhead, not arithmetic, sets the cost of a
-micro step.  stormer_verlet stays the single entry point and runs
-the constant-mass check and the micro stability guard on every call.
-The guard takes the model's stiff_eig_bound, which for the spring chain
-is a constant, and runs an eigensolve only when that bound does not
-clear the step.
+micro step.  stormer_verlet stays the single entry point and runs the
+micro stability guard on every call.  The guard takes the model's
+stiff_eig_bound, which for the spring chain is a constant, and runs an
+eigensolve only when that bound does not clear the step.
 On the macro level macro_step runs one of three splitting methods; they
 share the oscillate step and differ only in the kick force:
 
@@ -31,16 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import smallmat
 from .geometry import momentum_projector, project_to_manifold
-from .model import (
-    OscillatorySystem,
-    State,
-    has_identity_mass,
-    leapfrog,
-    mass_solve,
-    pencil_eig,
-    require_constant_mass,
-)
+from .model import OscillatorySystem, State, leapfrog
 
 METHOD_KINDS = ("impulse", "mollified", "projected")
 
@@ -59,8 +51,8 @@ class IntegrationError(Exception):
 
 
 # observer(sys, state, position) -> record, where position is the
-# mass-metric projection of state.x onto the manifold or None when the
-# integrator has not computed it
+# projection of state.x onto the manifold or None when the integrator
+# has not computed it
 Observer = Callable[[OscillatorySystem, State, Optional[np.ndarray]], object]
 
 
@@ -114,17 +106,16 @@ _BOUND_MARGIN = 1e-9
 def _check_micro_stability(sys, x, h_micro):
     """Entry guard: h_micro * (fastest frequency) must stay below 2.
 
-    With identity mass sys.stiff_eig_bound(x) bounds the largest
-    eigenvalue of the stiff Hessian; the exact eigensolve runs only when
-    that bound does not clear the step with a margin of _BOUND_MARGIN.
+    sys.stiff_eig_bound(x) bounds the largest eigenvalue of the stiff
+    Hessian; the exact eigensolve runs only when that bound does not
+    clear the step with a margin of _BOUND_MARGIN.
     Unconstrained systems (m = 0) are checked too: their stiff part may
     still oscillate, and a zero stiff Hessian clears every step.
     """
-    if has_identity_mass(sys, x):
-        bound = sys.stiff_eig_bound(x)
-        if h_micro * math.sqrt(bound) / sys.epsilon < 2.0 * (1.0 - _BOUND_MARGIN):
-            return
-    values = pencil_eig(sys, x, sys.hess_stiff(x)).values
+    bound = sys.stiff_eig_bound(x)
+    if h_micro * math.sqrt(bound) / sys.epsilon < 2.0 * (1.0 - _BOUND_MARGIN):
+        return
+    values = smallmat.sym_eig(sys.hess_stiff(x)).values
     omega_max = math.sqrt(max(float(values[-1]), 0.0))
     if h_micro * omega_max / sys.epsilon >= 2.0:
         raise StabilityViolation(
@@ -143,12 +134,11 @@ def stormer_verlet(
 ) -> State:
     """Kick-drift-kick leapfrog over nsteps equal micro steps.
 
-    Integrates xdot = M^-1 y, ydot = -[include_slow] grad slow
+    Integrates xdot = y, ydot = -[include_slow] grad slow
     - grad stiff / epsilon^2.  One stiff-force evaluation per step.
     The stiff sub-flow runs in sys.stiff_flow, the full flow in the
     generic model.leapfrog.
     """
-    require_constant_mass(sys)
     _check_micro_stability(sys, state.x, h_micro)
     x = state.x.copy()
     y = state.y.copy()
@@ -160,7 +150,7 @@ def stormer_verlet(
         def force(z):
             return -(grad_slow(z) + inv_eps2 * grad_stiff(z))
 
-        x, y = leapfrog(force, x, y, h_micro, nsteps, lambda v: mass_solve(sys, state.x, v))
+        x, y = leapfrog(force, x, y, h_micro, nsteps)
     else:
         x, y = sys.stiff_flow(x, y, h_micro, nsteps)
     return State(x, y, state.t + nsteps * h_micro)
@@ -177,9 +167,9 @@ def fast_flow(
     return stormer_verlet(sys, state, h / nsteps, nsteps, include_slow=False)
 
 
-# Each kick force returns (force, position): position is the mass-metric
-# projection of x onto the manifold when the force needs it anyway (the
-# mollified kick), None otherwise.
+# Each kick force returns (force, position): position is the projection
+# of x onto the manifold when the force needs it anyway (the mollified
+# kick), None otherwise.
 
 
 def _kick_force_impulse(sys, x):

@@ -1,10 +1,14 @@
 """Oscillatory mechanical systems with a stiff constraining potential.
 
-A system bundles a mass matrix M(x), a smooth slow potential, a stiff
-potential (scaled internally by 1/epsilon^2) whose zero set is the
-constraint manifold, and the constraint function with its Jacobian:
+A system bundles a smooth slow potential, a stiff potential (scaled
+internally by 1/epsilon^2) whose zero set is the constraint manifold,
+and the constraint function with its Jacobian.  The mass is the
+identity:
 
-    H(x, y) = 1/2 y^T M(x)^-1 y + slow(x) + stiff(x) / epsilon^2
+    H(x, y) = 1/2 y^T y + slow(x) + stiff(x) / epsilon^2
+
+A model with a constant SPD mass matrix M = S^T S is written in the
+coordinates q = S x (momenta S^-T y), where its mass is the identity.
 
 Shipped models are planar chains of stiff springs under gravity; the
 double pendulum is the two-spring chain.
@@ -50,10 +54,9 @@ class OscillatorySystem:
         n: configuration dimension.
         m: number of constraints (= number of fast frequencies).
         epsilon: stiffness parameter in (0, 1).
-        mass_is_constant: True when M(x) does not depend on x; the
-            shipped explicit integrators require it.
 
-    Subclasses provide mass_matrix, slow_potential, grad_slow,
+    The mass matrix is the identity (see the module docstring).
+    Subclasses provide slow_potential, grad_slow,
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
     stiff_eig_bound, hess_stiff_contract, constraint_hessian,
@@ -66,10 +69,6 @@ class OscillatorySystem:
     n: int
     m: int
     epsilon: float
-    mass_is_constant: bool
-
-    def mass_matrix(self, x) -> np.ndarray:
-        raise NotImplementedError
 
     def slow_potential(self, x) -> float:
         raise NotImplementedError
@@ -129,11 +128,11 @@ class OscillatorySystem:
         return _central_differences(lambda z: self.constraint_jacobian(z).T @ w, x).T
 
     def project_position(self, x, base=None):
-        """Mass-metric projection onto the constraint manifold along the
+        """Projection onto the constraint manifold along the normal
         directions at x: (position, lam) with constraint(position) = 0
-        and position = base + M(x)^-1 G(x)^T lam, base = x by default.
+        and position = base + G(x)^T lam, base = x by default.
 
-        Default: a rank check by Cholesky of G M^-1 G^T at x (raising
+        Default: a rank check by Cholesky of G G^T at x (raising
         smallmat.NotPositiveDefinite), then smallmat.newton_solve from
         lam = 0 (the base point): max-norm tolerance 1e-12, a full step
         then at most 8 halvings until the residual strictly falls, at
@@ -145,61 +144,60 @@ class OscillatorySystem:
         x = np.asarray(x, dtype=float)
         base = x if base is None else np.asarray(base, dtype=float)
         frozen_jac = self.constraint_jacobian(x)  # m x n, frozen at x
-        minv_gt = mass_solve(self, x, frozen_jac.T)
-        smallmat.cholesky(frozen_jac @ minv_gt)  # fail fast on rank loss before iterating
+        gt = frozen_jac.T
+        smallmat.cholesky(frozen_jac @ gt)  # fail fast on rank loss before iterating
 
         def residual(lam):
-            return self.constraint(base + minv_gt @ lam)
+            return self.constraint(base + gt @ lam)
 
         def jacobian(lam):
-            return self.constraint_jacobian(base + minv_gt @ lam) @ minv_gt
+            return self.constraint_jacobian(base + gt @ lam) @ gt
 
         lam = smallmat.newton_solve(residual, jacobian, np.zeros(self.m), tol=1e-12)
-        return base + minv_gt @ lam, lam
+        return base + gt @ lam, lam
 
     def momentum_projector(self, x) -> np.ndarray:
-        """Oblique projector P = I - G^T S^-1 G M^-1 with S = G M^-1 G^T,
-        all at x (geometry.momentum_projector).
+        """Orthogonal projector P = I - G^T S^-1 G with S = G G^T, all
+        at x (geometry.momentum_projector).
 
         Default: S by numpy, then smallmat.solve_spd, raising
-        smallmat.NotPositiveDefinite when M or S is not SPD.  An override
+        smallmat.NotPositiveDefinite when S is not SPD.  An override
         must keep the pivot test and the exception classes.
         """
         x = np.asarray(x, dtype=float)
         jac = self.constraint_jacobian(x)
-        minv_gt = mass_solve(self, x, jac.T)  # n x m
-        coeff = smallmat.solve_spd(jac @ minv_gt, minv_gt.T)  # m x n, = S^-1 G M^-1
+        coeff = smallmat.solve_spd(jac @ jac.T, jac)  # m x n, = S^-1 G
         return np.eye(self.n) - jac.T @ coeff
 
     def projection_jacobian_t(self, x, position, lam) -> np.ndarray:
         """Transpose of d(position)/dx for the projection (position, lam)
         of x (project_position), by implicit differentiation.
 
-        Differentiating position = x + M^-1 G(x)^T lam(x) (constant M) and
-        constraint(position(x)) = 0 gives, with D = M^-1 sum_k lam_k
+        Differentiating position = x + G(x)^T lam(x) and
+        constraint(position(x)) = 0 gives, with D = sum_k lam_k
         hess constraint_k(x) the x-derivative of the map
-        x -> M^-1 G(x)^T lam at frozen lam and B = I + D:
+        x -> G(x)^T lam at frozen lam and B = I + D:
 
-            d(position)/dx = B - M^-1 G(x)^T S~^-1 G(position) B,
-            S~ = G(position) M(x)^-1 G(x)^T.
+            d(position)/dx = B - G(x)^T S~^-1 G(position) B,
+            S~ = G(position) G(x)^T.
 
         Default: numpy products and smallmat.solve_dense, raising
         smallmat.SingularMatrix when S~ is singular.  An override must
         keep that threshold and the exception classes.
         """
-        minv_gt = mass_solve(self, x, self.constraint_jacobian(x).T)
-        b = np.eye(self.n) + mass_solve(self, x, self.constraint_hessian(x, lam))
+        gt = self.constraint_jacobian(x).T
+        b = np.eye(self.n) + self.constraint_hessian(x, lam)
         jac_pos = self.constraint_jacobian(position)
-        gram = jac_pos @ minv_gt  # m x m, generally non-symmetric
+        gram = jac_pos @ gt  # m x m, generally non-symmetric
         coeff = smallmat.solve_dense(gram, jac_pos @ b)
-        return (b - minv_gt @ coeff).T
+        return (b - gt @ coeff).T
 
     def manifold_frequencies(self, x, weights):
         """(omegas, vectors) from the m x m SPD matrix
-        S = K^1/2 G M^-1 G^T K^1/2 at x for the stiff weights K
+        S = K^1/2 G G^T K^1/2 at x for the stiff weights K
         (effective.manifold_frequencies): for S u = lambda u, ascending,
-        omega = sqrt(lambda) and the mass-orthonormal mode vector
-        v = M^-1 G^T K^1/2 u / omega.
+        omega = sqrt(lambda) and the orthonormal mode vector
+        v = G^T K^1/2 u / omega.
 
         Default: S by numpy, then smallmat.sym_eig, raising
         smallmat.NotPositiveDefinite when the smallest eigenvalue is not
@@ -208,29 +206,24 @@ class OscillatorySystem:
         """
         x = np.asarray(x, dtype=float)
         a = self.constraint_jacobian(x).T * np.sqrt(weights)  # G^T K^1/2, n x m
-        b = mass_solve(self, x, a)
-        pairs = smallmat.sym_eig(a.T @ b)
+        pairs = smallmat.sym_eig(a.T @ a)
         if pairs.values[0] <= 0.0:
             raise smallmat.NotPositiveDefinite(
                 f"constraint Gram eigenvalue not positive: {pairs.values[0]:.3e}"
             )
         omegas = np.sqrt(pairs.values)
-        return omegas, (b @ pairs.vectors) / omegas
+        return omegas, (a @ pairs.vectors) / omegas
 
     def stiff_flow(self, x, y, h_micro, nsteps):
-        """Leapfrog of xdot = M^-1 y, ydot = -grad stiff / epsilon^2
-        (constant mass) over nsteps micro steps of h_micro; returns the
-        new (x, y).
+        """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 over
+        nsteps micro steps of h_micro; returns the new (x, y).
 
         An override must reproduce this loop bit for bit and raise
         DomainError at every step where grad_stiff would.
         """
         scale = -(1.0 / self.epsilon ** 2)
         grad_stiff = self.grad_stiff
-        return leapfrog(
-            lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps,
-            lambda v: mass_solve(self, x, v),
-        )
+        return leapfrog(lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps)
 
 
 def _central_differences(f, x):
@@ -247,15 +240,14 @@ def _central_differences(f, x):
     return np.array(out)
 
 
-def leapfrog(force, x, y, h_micro, nsteps, velocity):
-    """Kick-drift-kick leapfrog of xdot = velocity(y), ydot = force(x)
-    over nsteps equal micro steps; returns (x, y).  One force evaluation
-    per step."""
+def leapfrog(force, x, y, h_micro, nsteps):
+    """Kick-drift-kick leapfrog of xdot = y, ydot = force(x) over nsteps
+    equal micro steps; returns (x, y).  One force evaluation per step."""
     half = 0.5 * h_micro
     f = force(x)
     for _ in range(nsteps):
         y = y + half * f
-        x = x + h_micro * velocity(y)
+        x = x + h_micro * y
         f = force(x)
         y = y + half * f
     return x, y
@@ -362,7 +354,6 @@ class StiffSpringChain(OscillatorySystem):
     lengths: np.ndarray
     n: int = field(init=False)
     m: int = field(init=False)
-    mass_is_constant: bool = field(init=False, default=True)
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=float)
@@ -397,9 +388,6 @@ class StiffSpringChain(OscillatorySystem):
             segs.append((d0, d1, r))
             px, py = qx, qy
         return segs
-
-    def mass_matrix(self, x):
-        return np.eye(self.n)
 
     def slow_potential(self, x):
         total = x[1]
@@ -505,12 +493,11 @@ class StiffSpringChain(OscillatorySystem):
         return jac
 
     def project_position(self, x, base=None):
-        """For two springs with identity mass, the default's rank check
-        and Newton solve on plain floats, under all of the default's
-        rules.  The default sums G^T lam in a numpy matvec, so the two
-        agree to rounding, not bit for bit.  Other chains run the
-        default."""
-        if self.m != 2 or not has_identity_mass(self, x):
+        """For two springs, the default's rank check and Newton solve on
+        plain floats, under all of the default's rules.  The default sums
+        G^T lam in a numpy matvec, so the two agree to rounding, not bit
+        for bit.  Other chains run the default."""
+        if self.m != 2:
             if base is None:
                 return super().project_position(x)
             return super().project_position(x, base)
@@ -623,16 +610,16 @@ class StiffSpringChain(OscillatorySystem):
             b1 = d1 / r2
         raise smallmat.NoConvergence(f"no convergence after 20 iterations, residual {rnorm:.3e}")
 
-    # The three kernels below replace, for two springs with identity
-    # mass, a default's numpy products and smallmat solve with one pass
-    # on floats under the same rules.  Numpy sums its products in another
-    # order, so results agree with the default to rounding, not bit for
-    # bit.  Other chains run the defaults.
+    # The three kernels below replace, for two springs, a default's numpy
+    # products and smallmat solve with one pass on floats under the same
+    # rules.  Numpy sums its products in another order, so results agree
+    # with the default to rounding, not bit for bit.  Other chains run the
+    # defaults.
 
     def momentum_projector(self, x):
         """P = I - G^T S^-1 G through the Cholesky factor of S = G G^T,
         with smallmat.cholesky's pivot test and message."""
-        if self.m != 2 or not has_identity_mass(self, x):
+        if self.m != 2:
             return super().momentum_projector(x)
         cols = _pair_columns(self._segments(x))
         s00, s01, s11 = _pair_gram(cols)
@@ -661,7 +648,7 @@ class StiffSpringChain(OscillatorySystem):
         """B = I + D from the constraint_hessian blocks, then the 2 x 2
         system S~ by elimination with partial pivoting and
         smallmat.solve_dense's singularity threshold and message."""
-        if self.m != 2 or not has_identity_mass(self, x):
+        if self.m != 2:
             return super().projection_jacobian_t(x, position, lam)
         (d0, d1, r1), (e0, e1, r2) = self._segments(x)
         (f0, f1, s1), (g0, g1, s2) = self._segments(position)
@@ -713,7 +700,7 @@ class StiffSpringChain(OscillatorySystem):
         """S = A^T A with A = G^T K^1/2, then smallmat.sym_eig's single
         Jacobi rotation of a 2 x 2 matrix (the same tau, t, c and s, the
         same stopping test and ascending order) and its exceptions."""
-        if self.m != 2 or not has_identity_mass(self, x):
+        if self.m != 2:
             return super().manifold_frequencies(x, weights)
         k0, k1 = (math.sqrt(w) for w in np.asarray(weights, dtype=float).tolist())
         rows = [(g0 * k0, g1 * k1) for g0, g1 in _pair_columns(self._segments(x))]
@@ -832,47 +819,11 @@ def benchmark_initial_state(epsilon) -> State:
     )
 
 
-def has_identity_mass(sys: OscillatorySystem, x) -> bool:
-    """True when M(x) is the identity; memoized for constant-mass systems."""
-    cached = getattr(sys, "_identity_mass", None)
-    if cached is not None and sys.mass_is_constant:
-        return cached
-    result = _is_identity(sys.mass_matrix(x))
-    if sys.mass_is_constant:
-        sys._identity_mass = result
-    return result
-
-
-def require_constant_mass(sys: OscillatorySystem, what="leapfrog integration"):
-    if not sys.mass_is_constant:
-        raise ValueError(f"{what} requires a constant mass matrix")
-
-
-def mass_solve(sys: OscillatorySystem, x, v):
-    """M(x)^-1 v for a vector or a matrix of columns v; v itself for
-    identity mass.  Raises smallmat.NotPositiveDefinite for a mass matrix
-    that is not SPD."""
-    if has_identity_mass(sys, x):
-        return v
-    return smallmat.solve_spd(sys.mass_matrix(x), v)
-
-
-def pencil_eig(sys: OscillatorySystem, x, hess) -> smallmat.EigenPairs:
-    """Eigenpairs of the pencil (hess, M(x)), ascending, with
-    mass-orthonormal vectors: a symmetric eigensolve for identity mass."""
-    if has_identity_mass(sys, x):
-        return smallmat.sym_eig(hess)
-    return smallmat.gen_eig(hess, sys.mass_matrix(x))
-
-
 def hamiltonian(sys: OscillatorySystem, state: State) -> float:
-    """Total energy 1/2 y^T M^-1 y + slow(x) + stiff(x)/epsilon^2."""
+    """Total energy 1/2 y^T y + slow(x) + stiff(x)/epsilon^2."""
     return (
-        0.5 * float(state.y @ mass_solve(sys, state.x, state.y))
+        0.5 * float(state.y @ state.y)
         + sys.slow_potential(state.x)
         + sys.stiff_potential(state.x) / sys.epsilon ** 2
     )
 
-
-def _is_identity(mass: np.ndarray) -> bool:
-    return np.array_equal(mass, np.eye(mass.shape[0]))

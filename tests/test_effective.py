@@ -31,7 +31,7 @@ from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
 from conftest import fd_grad_frequencies, np_rattle_step, sample_states
 from test_geometry import assert_same_failure_of, outcome
-from test_mass_metric import Scaled, Weighted
+from test_mass_metric import Scaled, Weighted, orthogonal
 
 
 def on_manifold_config():
@@ -158,9 +158,9 @@ class TestManifoldFrequenciesKernel:
             make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
         ):
             manifold_frequencies(sys, sample_states(sys, 1, seed=641)[0].x)
-        # Scaled declares no stiff weights and takes the full pencil;
-        # Weighted declares them and runs the default through M^-1
-        s = np.diag([1.5, 0.7, 2.0, 1.2])
+        # Scaled declares no stiff weights and takes the full Hessian;
+        # Weighted declares them and runs the default
+        s = orthogonal(4, seed=640)
         x = np.linalg.inv(s) @ on_manifold_config()
         manifold_frequencies(Scaled(pendulum, s), x)
         manifold_frequencies(Weighted(pendulum, s), x)
@@ -311,11 +311,6 @@ class Degenerate(OscillatorySystem):
     n = 3
     m = 2
     epsilon = 1e-2
-    mass_is_constant = True
-
-    def mass_matrix(self, x):
-        return np.eye(3)
-
     def grad_slow(self, x):
         return np.array([0.0, 0.0, 1.0])
 
@@ -335,10 +330,10 @@ class TestRattleOnTheContract:
     @staticmethod
     def cases(which, pendulum):
         """(system, seeded states) of one model: the two-spring chain runs
-        the float kernels, the other chains and Scaled (constant mass,
-        not the identity) the contract defaults."""
+        the float kernels, the other chains and Scaled (the two-spring
+        chain in rotated coordinates) the contract defaults."""
         if which == "scaled":
-            sys = Scaled(pendulum, np.diag([1.5, 0.7, 2.0, 1.2]))
+            sys = Scaled(pendulum, orthogonal(4, seed=629))
             states = sample_states(pendulum, 8, seed=630)
             return sys, [State(*sys.to_scaled(st.x, st.y)) for st in states]
         springs = {"one-spring": 1, "two-spring": 2, "three-spring": 3}[which]

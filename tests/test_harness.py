@@ -110,6 +110,12 @@ class TestConfig:
         state = harness.initial_state(cfg, sys)
         assert np.allclose(state.x, [0.0, -1.0])
 
+    @pytest.mark.parametrize("n_springs", [2.9, True, 0, "2"], ids=["float", "bool", "zero", "string"])
+    def test_chain_spring_count_must_be_a_positive_integer(self, tmp_path, n_springs):
+        params = {"N": n_springs, "alphas": [1.0, 1.0], "lengths": [1.0, 1.0]}
+        with pytest.raises(ConfigError, match="model_params.N must be an integer >= 1"):
+            small_config(tmp_path, model="spring_chain", model_params=params)
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         payload = dict(
@@ -620,4 +626,15 @@ class TestCli:
         code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("n_springs", [2.9, True, 0, "2"], ids=["float", "bool", "zero", "string"])
+    def test_chain_spring_count_exit_code(self, tmp_path, capsys, n_springs):
+        path = tmp_path / "cfg.json"
+        params = {"N": n_springs, "alphas": [1.0, 1.0], "lengths": [1.0, 1.0],
+                  "x0": [0.0, -1.0, 0.0, -2.0]}
+        path.write_text(short_json(model="spring_chain", model_params=params))
+        code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "model_params.N must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
