@@ -108,7 +108,18 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
 
+def _require_numbers(name, value):
+    """Reject a bool or a string, alone or in a list: numpy would read
+    true as 1.0 and "2" as 2.0."""
+    for v in value if isinstance(value, list) else [value]:
+        if type(v) is bool or isinstance(v, str):
+            raise ConfigError(f"model_params.{name} must be numeric, not {value!r}")
+
+
 def build_system(cfg: SweepConfig):
+    for name, value in cfg.model_params.items():
+        if name != "N":
+            _require_numbers(name, value)
     params = {k: v for k, v in cfg.model_params.items() if k not in ("x0", "y0")}
     try:
         if cfg.model == "double_pendulum":

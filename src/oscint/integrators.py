@@ -1,14 +1,16 @@
 """Time steppers for the stiff oscillatory system.
 
-The micro level is a kick-drift-kick leapfrog (model.leapfrog); the
-fast-flow solver runs it with the slow force switched off.  That stiff
-sub-flow goes through the system's stiff_flow, which the two-spring chain
-overrides with a bit-identical loop on plain floats: on vectors of four
-entries numpy's per-call overhead, not arithmetic, sets the cost of a
-micro step.  stormer_verlet stays the single entry point and runs the
-micro stability guard on every call.  The guard takes the model's
-stiff_eig_bound, which for the spring chain is a constant, and runs an
-eigensolve only when that bound does not clear the step.
+The micro level is the leapfrog model.leapfrog, in its merged-kick
+(Stoermer-Verlet) form: one kick per step, half kicks only at the ends
+of a call.  The fast-flow solver runs it with the slow force switched
+off.  That stiff sub-flow goes through the system's stiff_flow, which
+the two-spring chain overrides with a bit-identical loop on plain
+floats: on vectors of four entries numpy's per-call overhead, not
+arithmetic, sets the cost of a micro step.  stormer_verlet stays the
+single entry point and runs the micro stability guard on every call.
+The guard takes the model's stiff_eig_bound, which for the spring chain
+is a constant, and runs an eigensolve only when that bound does not
+clear the step.
 On the macro level macro_step runs one of three splitting methods; they
 share the oscillate step and differ only in the kick force:
 
@@ -132,12 +134,13 @@ def stormer_verlet(
     nsteps: int,
     include_slow: bool = True,
 ) -> State:
-    """Kick-drift-kick leapfrog over nsteps equal micro steps.
+    """Leapfrog over nsteps equal micro steps (see model.leapfrog).
 
     Integrates xdot = y, ydot = -[include_slow] grad slow
     - grad stiff / epsilon^2.  One stiff-force evaluation per step.
     The stiff sub-flow runs in sys.stiff_flow, the full flow in the
-    generic model.leapfrog.
+    generic model.leapfrog with grad slow + grad stiff / epsilon^2 and
+    coefficient -1.
     """
     _check_micro_stability(sys, state.x, h_micro)
     x = state.x.copy()
@@ -147,10 +150,10 @@ def stormer_verlet(
         grad_stiff = sys.grad_stiff
         grad_slow = sys.grad_slow
 
-        def force(z):
-            return -(grad_slow(z) + inv_eps2 * grad_stiff(z))
+        def grad(z):
+            return grad_slow(z) + inv_eps2 * grad_stiff(z)
 
-        x, y = leapfrog(force, x, y, h_micro, nsteps)
+        x, y = leapfrog(grad, -1.0, x, y, h_micro, nsteps)
     else:
         x, y = sys.stiff_flow(x, y, h_micro, nsteps)
     return State(x, y, state.t + nsteps * h_micro)

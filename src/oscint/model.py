@@ -221,9 +221,7 @@ class OscillatorySystem:
         An override must reproduce this loop bit for bit and raise
         DomainError at every step where grad_stiff would.
         """
-        scale = -(1.0 / self.epsilon ** 2)
-        grad_stiff = self.grad_stiff
-        return leapfrog(lambda z: scale * grad_stiff(z), x, y, h_micro, nsteps)
+        return leapfrog(self.grad_stiff, -(1.0 / self.epsilon ** 2), x, y, h_micro, nsteps)
 
 
 def _central_differences(f, x):
@@ -240,16 +238,25 @@ def _central_differences(f, x):
     return np.array(out)
 
 
-def leapfrog(force, x, y, h_micro, nsteps):
-    """Kick-drift-kick leapfrog of xdot = y, ydot = force(x) over nsteps
-    equal micro steps; returns (x, y).  One force evaluation per step."""
-    half = 0.5 * h_micro
-    f = force(x)
-    for _ in range(nsteps):
-        y = y + half * f
+def leapfrog(grad, coef, x, y, h_micro, nsteps):
+    """Leapfrog of xdot = y, ydot = coef * grad(x) over nsteps equal micro
+    steps; returns (x, y).  One gradient evaluation per step.
+
+    Kick-drift-kick with each step's closing half kick merged into the
+    next step's opening one (Stoermer-Verlet, first same as last): a half
+    kick, nsteps - 1 passes of drift and full kick y + kick * grad(x)
+    with kick = coef * h_micro, a last drift and a closing half kick.
+    grad(x) is evaluated before the loop, also for nsteps = 0.
+    """
+    kick = coef * h_micro
+    half = 0.5 * kick
+    g = grad(x)
+    if nsteps == 0:
+        return x, y
+    y = y + half * g
+    for k in [kick] * (nsteps - 1) + [half]:
         x = x + h_micro * y
-        f = force(x)
-        y = y + half * f
+        y = y + k * grad(x)
     return x, y
 
 
@@ -730,16 +737,17 @@ class StiffSpringChain(OscillatorySystem):
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the generic leapfrog unrolled on floats: same
-        operations in the same order as grad_stiff, so the result is
-        bit-identical.  The opening force is evaluated before the loop,
-        and each pass runs kick, drift, force, kick.  Other chains run
-        the generic loop."""
+        operations in the same order as grad_stiff and leapfrog, so the
+        result is bit-identical.  The opening force and half kick come
+        before the loop; each pass runs drift, force, kick, with the
+        kick coefficient half on the last pass.  Other chains run the
+        generic loop."""
         if self.m != 2:
             return super().stiff_flow(x, y, h_micro, nsteps)
         a1, a2 = self._a2
         l1, l2 = self._len
-        scale = -(1.0 / self.epsilon ** 2)
-        half = 0.5 * h_micro
+        kick = -(1.0 / self.epsilon ** 2) * h_micro
+        half = 0.5 * kick
         hypot = math.hypot
         x0, x1, x2, x3 = x.tolist()
         y0, y1, y2, y3 = y.tolist()
@@ -755,15 +763,15 @@ class StiffSpringChain(OscillatorySystem):
             raise _collapsed(1, r2)
         c1 = a1 * (r1 - l1) / r1
         c2 = a2 * (r2 - l2) / r2
-        k0 = half * (scale * (c1 * x0 - c2 * d0))
-        k1 = half * (scale * (c1 * x1 - c2 * d1))
-        k2 = half * (scale * (c2 * d0))
-        k3 = half * (scale * (c2 * d1))
-        for _ in range(nsteps):
-            y0 = y0 + k0
-            y1 = y1 + k1
-            y2 = y2 + k2
-            y3 = y3 + k3
+        if nsteps == 0:
+            return x.copy(), y.copy()
+        e0 = c2 * d0
+        e1 = c2 * d1
+        y0 = y0 + half * (c1 * x0 - e0)
+        y1 = y1 + half * (c1 * x1 - e1)
+        y2 = y2 + half * e0
+        y3 = y3 + half * e1
+        for k in [kick] * (nsteps - 1) + [half]:
             x0 = x0 + h_micro * y0
             x1 = x1 + h_micro * y1
             x2 = x2 + h_micro * y2
@@ -778,14 +786,12 @@ class StiffSpringChain(OscillatorySystem):
                 raise _collapsed(1, r2)
             c1 = a1 * (r1 - l1) / r1
             c2 = a2 * (r2 - l2) / r2
-            k0 = half * (scale * (c1 * x0 - c2 * d0))
-            k1 = half * (scale * (c1 * x1 - c2 * d1))
-            k2 = half * (scale * (c2 * d0))
-            k3 = half * (scale * (c2 * d1))
-            y0 = y0 + k0
-            y1 = y1 + k1
-            y2 = y2 + k2
-            y3 = y3 + k3
+            e0 = c2 * d0
+            e1 = c2 * d1
+            y0 = y0 + k * (c1 * x0 - e0)
+            y1 = y1 + k * (c1 * x1 - e1)
+            y2 = y2 + k * e0
+            y3 = y3 + k * e1
         return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
 
 

@@ -12,7 +12,7 @@ from oscint import (
     project_to_manifold,
 )
 from oscint import smallmat
-from oscint.model import DomainError, OscillatorySystem, StiffSpringChain
+from oscint.model import DomainError, OscillatorySystem
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
 from conftest import sample_states
@@ -122,24 +122,6 @@ class TestProjectToManifold:
         assert isinstance(cause, NoConvergence)
         assert "line search stalled" in str(cause)
         assert str(err.value) == f"start residual c(x) = {start}: {cause}"
-
-
-class TestVariableMassDeclared:
-    """The contract has no mass attribute: one a subclass sets is ignored."""
-
-    @staticmethod
-    def chain():
-        class VariableMassChain(StiffSpringChain):
-            def __post_init__(self):
-                super().__post_init__()
-                self.mass_is_constant = False
-
-        return VariableMassChain(1e-2, [1.0, 1.0], [1.0, 1.0])
-
-    def test_position_still_projected(self, pendulum, bench_state):
-        got = project_to_manifold(self.chain(), bench_state.x)
-        want = project_to_manifold(pendulum, bench_state.x)
-        assert np.array_equal(got.position, want.position)
 
 
 class TestConsistentState:

@@ -39,6 +39,26 @@ def short_json(**over):
     return json.dumps(dict(SHORT, **over))
 
 
+CHAIN = {"N": 2, "alphas": [1.0, 1.0], "lengths": [1.0, 1.0], "x0": [0.0, -1.0, 0.0, -2.0]}
+
+# configs with a bool or a string where a model parameter or an initial
+# state entry belongs
+NOT_NUMBERS = [
+    dict(model_params={"alpha1": True}),
+    dict(model_params={"alpha2": "2"}),
+    dict(model_params={"l1": False}),
+    dict(model_params={"l2": "1.0"}),
+    dict(model="spring_chain", model_params=dict(CHAIN, alphas=["1.5", True])),
+    dict(model="spring_chain", model_params=dict(CHAIN, lengths=[1.0, True])),
+    dict(model_params={"x0": [0.7, -0.7, True, 0.0]}),
+    dict(model_params={"y0": [0.0, "0", 0.0, 0.0]}),
+]
+NOT_NUMBER_IDS = [
+    "bool-alpha1", "string-alpha2", "bool-l1", "string-l2", "string-and-bool-alphas",
+    "bool-in-lengths", "bool-in-x0", "string-in-y0",
+]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = SweepConfig()
@@ -115,6 +135,12 @@ class TestConfig:
         params = {"N": n_springs, "alphas": [1.0, 1.0], "lengths": [1.0, 1.0]}
         with pytest.raises(ConfigError, match="model_params.N must be an integer >= 1"):
             small_config(tmp_path, model="spring_chain", model_params=params)
+
+    @pytest.mark.parametrize("params", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    def test_bool_or_string_parameter_rejected(self, tmp_path, params):
+        # numpy would read true as 1.0 and "2" as 2.0
+        with pytest.raises(ConfigError, match="must be numeric"):
+            small_config(tmp_path, **params)
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -626,6 +652,15 @@ class TestCli:
         code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("params", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    def test_bool_or_string_parameter_exit_code(self, tmp_path, capsys, params):
+        path = tmp_path / "cfg.json"
+        path.write_text(short_json(**params))
+        code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "must be numeric" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("n_springs", [2.9, True, 0, "2"], ids=["float", "bool", "zero", "string"])
