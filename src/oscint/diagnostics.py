@@ -1,6 +1,12 @@
 """Observable quantities: mode actions, energies, frequency-separation
 monitors, the normal-direction convexity constant, and the error metrics
 used by the convergence experiments.
+
+An observer sample (make_observer) costs one projection, unless the
+integrator hands it in, and one call of the contract method
+mode_actions for the frequencies, modes and actions (_mode_split); the
+two-spring chain runs that call on plain floats.  action_drift reads
+the records' actions as floats too.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from typing import List
 
 import numpy as np
 
-from .effective import frequencies, manifold_frequencies
+from . import smallmat
+from .effective import FrequencySet, GapViolation, frequencies
 from .geometry import momentum_projector, project_to_manifold
 from .integrators import Trajectory
-from .model import OscillatorySystem, State, hamiltonian
+from .model import OscillatorySystem, State, hamiltonian, modal_actions
 
 
 class TimeMismatch(Exception):
@@ -93,21 +100,26 @@ def _mode_split(sys, x, y, pos=None):
 
     The position is projected onto the manifold, unless the caller
     passes that projection as pos; the offset from it, expressed in the
-    orthonormal fast modes, carries the fast oscillation.  Each mode's
-    action is its energy over its frequency:
-
-        c_k = v_k^T (x - X),  cdot_k = v_k^T y,
-        I_k = (cdot_k^2 / 2 + (omega_k/eps)^2 c_k^2 / 2) / omega_k.
+    orthonormal fast modes, carries the fast oscillation
+    (model.modal_actions).  With stiff_weights the frequencies, modes
+    and actions come from sys.mode_actions at pos, in one pass on plain
+    floats for the two-spring chain, and a Gram eigenvalue that is not
+    positive raises GapViolation, as in effective.manifold_frequencies.
+    A system without stiff_weights takes them from frequencies().
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if pos is None:
         pos = project_to_manifold(sys, x).position
-    fset = manifold_frequencies(sys, pos)
-    coords = fset.vectors.T @ (x - pos)
-    velocities = fset.vectors.T @ y
-    energies = 0.5 * velocities ** 2 + 0.5 * (fset.omegas / sys.epsilon) ** 2 * coords ** 2
-    return pos, fset, energies / fset.omegas
+    weights = sys.stiff_weights()
+    if weights is None or sys.m == 0:
+        fset = frequencies(sys, pos)
+        return pos, fset, modal_actions(sys.epsilon, *fset, x, y, pos)
+    try:
+        omegas, vectors, actions = sys.mode_actions(x, y, pos, weights)
+    except smallmat.NotPositiveDefinite as exc:
+        raise GapViolation(str(exc)) from exc
+    return pos, FrequencySet(omegas, vectors), actions
 
 
 def compute_actions(sys: OscillatorySystem, x, y) -> np.ndarray:
@@ -165,11 +177,16 @@ def make_observer(sys: OscillatorySystem):
 
 
 def action_drift(records: List[DiagnosticsRecord]) -> float:
-    """max over samples and modes of |I_k(t) - I_k(0)|."""
-    base = records[0].actions
+    """max over samples and modes of |I_k(t) - I_k(0)|.
+
+    A record with a nan difference is left out as a whole.
+    """
+    base = records[0].actions.tolist()
     drift = 0.0
     for rec in records:
-        drift = max(drift, float(np.max(np.abs(rec.actions - base))) if base.size else 0.0)
+        diffs = [abs(a - b) for a, b in zip(rec.actions.tolist(), base)]
+        if not math.isnan(sum(diffs)):
+            drift = max([drift, *diffs])
     return drift
 
 

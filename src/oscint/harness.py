@@ -62,6 +62,13 @@ class SweepConfig:
                 raise ConfigError(f"unknown method {kind!r}")
         if not self.stepsizes:
             raise ConfigError("stepsizes list is empty")
+        # a JSON true would pass the range checks below as 1.0
+        for name in ("epsilon", "t_end", "h_ref"):
+            value = getattr(self, name)
+            if type(value) is bool:
+                raise ConfigError(f"{name} must be a number, not {value!r}")
+        if any(type(h) is bool for h in self.stepsizes):
+            raise ConfigError(f"stepsizes must be numbers, not {self.stepsizes!r}")
         if not all(0.0 < h < math.inf for h in self.stepsizes):
             raise ConfigError("stepsizes must be positive and finite")
         if any(a <= b for a, b in zip(self.stepsizes, self.stepsizes[1:])):

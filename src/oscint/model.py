@@ -60,9 +60,9 @@ class OscillatorySystem:
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
     stiff_eig_bound, hess_stiff_contract, constraint_hessian,
-    project_position, momentum_projector, projection_jacobian_t and
-    manifold_frequencies have generic defaults; a model may override
-    them with faster or exact versions.
+    project_position, momentum_projector, projection_jacobian_t,
+    manifold_frequencies and mode_actions have generic defaults; a model
+    may override them with faster or exact versions.
     stiff_weights is optional as well.
     """
 
@@ -214,6 +214,20 @@ class OscillatorySystem:
         omegas = np.sqrt(pairs.values)
         return omegas, (a @ pairs.vectors) / omegas
 
+    def mode_actions(self, x, y, position, weights):
+        """(omegas, vectors, actions) of the state (x, y) about the
+        manifold point position (diagnostics._mode_split): the pairs of
+        manifold_frequencies(position, weights), then modal_actions.
+
+        An override must raise what this path raises (DomainError,
+        smallmat.NoConvergence and smallmat.NotPositiveDefinite, with
+        manifold_frequencies' messages); its results may differ by
+        rounding, but its omegas must equal manifold_frequencies' bit
+        for bit.
+        """
+        omegas, vectors = self.manifold_frequencies(position, weights)
+        return omegas, vectors, modal_actions(self.epsilon, omegas, vectors, x, y, position)
+
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 over
         nsteps micro steps of h_micro; returns the new (x, y).
@@ -222,6 +236,20 @@ class OscillatorySystem:
         DomainError at every step where grad_stiff would.
         """
         return leapfrog(self.grad_stiff, -(1.0 / self.epsilon ** 2), x, y, h_micro, nsteps)
+
+
+def modal_actions(epsilon, omegas, vectors, x, y, position):
+    """Mode actions of (x, y) about the manifold point position, for
+    the fast frequencies omegas and orthonormal mode vectors (columns of
+    vectors).  Each mode's action is its energy over its frequency:
+
+        c_k = v_k^T (x - X),  cdot_k = v_k^T y,
+        I_k = (cdot_k^2 / 2 + (omega_k/eps)^2 c_k^2 / 2) / omega_k.
+    """
+    coords = vectors.T @ (x - position)
+    velocities = vectors.T @ y
+    energies = 0.5 * velocities ** 2 + 0.5 * (omegas / epsilon) ** 2 * coords ** 2
+    return energies / omegas
 
 
 def _central_differences(f, x):
@@ -335,6 +363,63 @@ def _pair_gram(cols):
         s01 += a0 * a1
         s11 += a1 * a1
     return s00, s01, s11
+
+
+def _pair_modes(x, weights):
+    """(omega_0, omega_1, mode vectors) of the two-spring chain at x:
+    S = A^T A for A = G^T K^1/2, whose rows are (u_j k_0, -v_j k_1) for
+    bob 1 and (0, v_j k_1) for bob 2, u and v the unit segments; then
+    smallmat.sym_eig's single Jacobi rotation of a 2 x 2 matrix (the same
+    tau, t, c and s, the same stopping test and ascending order) and its
+    exceptions, omega = sqrt(lambda) and the vectors A u / omega, the
+    4 x 2 matrix as a flat row-major list.  The zero entries of A are left
+    out of every sum."""
+    w0, w1 = np.asarray(weights, dtype=float).tolist()
+    k0 = math.sqrt(w0)
+    k1 = math.sqrt(w1)
+    x0, x1, x2, x3 = x.tolist()
+    r1 = math.hypot(x0, x1)
+    if r1 < _MIN_SPRING_LENGTH:
+        raise _collapsed(0, r1)
+    d0 = x2 - x0
+    d1 = x3 - x1
+    r2 = math.hypot(d0, d1)
+    if r2 < _MIN_SPRING_LENGTH:
+        raise _collapsed(1, r2)
+    a00 = x0 / r1 * k0
+    a10 = x1 / r1 * k0
+    a21 = d0 / r2 * k1
+    a31 = d1 / r2 * k1
+    a01 = -a21
+    a11 = -a31
+    s00 = a00 * a00 + a10 * a10
+    s01 = a00 * a01 + a10 * a11
+    s11 = a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31
+    if not (math.isfinite(s00) and math.isfinite(s01) and math.isfinite(s11)):
+        raise smallmat.NoConvergence("matrix has non-finite entries")
+    c, s = 1.0, 0.0
+    norm = math.sqrt(s00 * s00 + s01 * s01 + s01 * s01 + s11 * s11)
+    if math.sqrt(2.0 * (s01 * s01)) > 1e-15 * norm:
+        tau = (s11 - s00) / (2.0 * s01)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        s00, s11 = s00 - t * s01, s11 + t * s01
+    # eigenvector columns (c, -s) for s00 and (s, c) for s11
+    if s11 < s00:
+        lo, u0, u1, hi, v0, v1 = s11, s, c, s00, c, -s
+    else:
+        lo, u0, u1, hi, v0, v1 = s00, c, -s, s11, s, c
+    if lo <= 0.0:
+        raise smallmat.NotPositiveDefinite(f"constraint Gram eigenvalue not positive: {lo:.3e}")
+    om0 = math.sqrt(lo)
+    om1 = math.sqrt(hi)
+    return om0, om1, [
+        (a00 * u0 + a01 * u1) / om0, (a00 * v0 + a01 * v1) / om1,
+        (a10 * u0 + a11 * u1) / om0, (a10 * v0 + a11 * v1) / om1,
+        a21 * u1 / om0, a21 * v1 / om1,
+        a31 * u1 / om0, a31 * v1 / om1,
+    ]
 
 
 @dataclass
@@ -617,8 +702,8 @@ class StiffSpringChain(OscillatorySystem):
             b1 = d1 / r2
         raise smallmat.NoConvergence(f"no convergence after 20 iterations, residual {rnorm:.3e}")
 
-    # The three kernels below replace, for two springs, a default's numpy
-    # products and smallmat solve with one pass on floats under the same
+    # The four kernels below replace, for two springs, a default's numpy
+    # products and smallmat call with one pass on floats under the same
     # rules.  Numpy sums its products in another order, so results agree
     # with the default to rounding, not bit for bit.  Other chains run the
     # defaults.
@@ -704,36 +789,37 @@ class StiffSpringChain(OscillatorySystem):
         ])
 
     def manifold_frequencies(self, x, weights):
-        """S = A^T A with A = G^T K^1/2, then smallmat.sym_eig's single
-        Jacobi rotation of a 2 x 2 matrix (the same tau, t, c and s, the
-        same stopping test and ascending order) and its exceptions."""
+        """The pairs of _pair_modes at x."""
         if self.m != 2:
             return super().manifold_frequencies(x, weights)
-        k0, k1 = (math.sqrt(w) for w in np.asarray(weights, dtype=float).tolist())
-        rows = [(g0 * k0, g1 * k1) for g0, g1 in _pair_columns(self._segments(x))]
-        s00, s01, s11 = _pair_gram(rows)
-        if not (math.isfinite(s00) and math.isfinite(s01) and math.isfinite(s11)):
-            raise smallmat.NoConvergence("matrix has non-finite entries")
-        c, s = 1.0, 0.0
-        norm = math.sqrt(s00 * s00 + s01 * s01 + s01 * s01 + s11 * s11)
-        if math.sqrt(2.0 * (s01 * s01)) > 1e-15 * norm:
-            tau = (s11 - s00) / (2.0 * s01)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            s00, s11 = s00 - t * s01, s11 + t * s01
-        # eigenvector columns (c, -s) for s00 and (s, c) for s11
-        pairs = [(s00, c, -s), (s11, s, c)]
-        if s11 < s00:
-            pairs.reverse()
-        (lo, u0, u1), (hi, v0, v1) = pairs
-        if lo <= 0.0:
-            raise smallmat.NotPositiveDefinite(f"constraint Gram eigenvalue not positive: {lo:.3e}")
-        om0 = math.sqrt(lo)
-        om1 = math.sqrt(hi)
-        return np.array([om0, om1]), np.array(
-            [[(a0 * u0 + a1 * u1) / om0, (a0 * v0 + a1 * v1) / om1] for a0, a1 in rows]
-        )
+        om0, om1, vectors = _pair_modes(x, weights)
+        return np.array([om0, om1]), np.array(vectors).reshape(4, 2)
+
+    def mode_actions(self, x, y, position, weights):
+        """The pairs of _pair_modes at position, then c_k, cdot_k and
+        I_k on floats, each sum over the four coordinates in index
+        order."""
+        if self.m != 2:
+            return super().mode_actions(x, y, position, weights)
+        om0, om1, vectors = _pair_modes(position, weights)
+        v00, v01, v10, v11, v20, v21, v30, v31 = vectors
+        x0, x1, x2, x3 = x.tolist()
+        p0, p1, p2, p3 = position.tolist()
+        y0, y1, y2, y3 = y.tolist()
+        d0 = x0 - p0
+        d1 = x1 - p1
+        d2 = x2 - p2
+        d3 = x3 - p3
+        c0 = v00 * d0 + v10 * d1 + v20 * d2 + v30 * d3
+        c1 = v01 * d0 + v11 * d1 + v21 * d2 + v31 * d3
+        q0 = v00 * y0 + v10 * y1 + v20 * y2 + v30 * y3
+        q1 = v01 * y0 + v11 * y1 + v21 * y2 + v31 * y3
+        w0 = om0 / self.epsilon
+        w1 = om1 / self.epsilon
+        return np.array([om0, om1]), np.array(vectors).reshape(4, 2), np.array([
+            (0.5 * (q0 * q0) + 0.5 * (w0 * w0) * (c0 * c0)) / om0,
+            (0.5 * (q1 * q1) + 0.5 * (w1 * w1) * (c1 * c1)) / om1,
+        ])
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the generic leapfrog unrolled on floats: same

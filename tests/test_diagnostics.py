@@ -15,11 +15,15 @@ from oscint import (
     momentum_projector,
     resonance_monitor,
 )
-from oscint import diagnostics, geometry, integrators
+from oscint import diagnostics, effective, geometry, integrators
 from oscint.diagnostics import TimeMismatch, action_drift, make_observer
 from oscint.harness import random_bounded_energy_states
 from oscint.integrators import MacroMethod, Trajectory, integrate, integrate_micro
-from oscint.model import State, hamiltonian
+from oscint.model import DomainError, OscillatorySystem, State, hamiltonian
+from oscint.smallmat import NoConvergence, NotPositiveDefinite
+
+from test_geometry import assert_same_failure_of, outcome
+from test_mass_metric import Scaled, Weighted, orthogonal
 
 LAZY_FIELDS = ("energy", "min_gap", "min_combo", "constraint_residual")
 
@@ -270,7 +274,7 @@ class TestObserver:
             for state in random_bounded_energy_states(sys, 3, seed=44):
                 rec = make_observer(sys)(sys, state)
                 assert "energy" not in vars(rec) and calls == []
-                omegas = diagnostics.manifold_frequencies(
+                omegas = effective.manifold_frequencies(
                     sys, geometry.project_to_manifold(sys, state.x).position
                 ).omegas
                 assert rec.t == state.t
@@ -312,3 +316,128 @@ class TestObserver:
         # the initial sample projects; every later one reuses a closing kick's
         assert calls.count(False) == 1
         assert calls.count(True) == 10 + 1
+
+
+def np_action_drift(records):
+    """action_drift in numpy, one np.max per record: its oracle."""
+    base = records[0].actions
+    drift = 0.0
+    for rec in records:
+        drift = max(drift, float(np.max(np.abs(rec.actions - base))) if base.size else 0.0)
+    return drift
+
+
+def action_records(*actions):
+    return [
+        diagnostics.DiagnosticsRecord(float(t), 0.0, np.array(a, dtype=float), 0.0, 0.0, 0.0)
+        for t, a in enumerate(actions)
+    ]
+
+
+class TestModeActionsKernel:
+    """The two-spring chain's float mode_actions against the numpy
+    default, which is its oracle, and the float action_drift against
+    its numpy form."""
+
+    # The largest difference measured over the states of
+    # test_matches_default is 1.3e-15 of the action itself (the
+    # four-term sums run in another order than numpy's matvec); omegas
+    # and vectors come from the rotation shared with manifold_frequencies
+    # and agree bit for bit.
+    RTOL = 1e-14
+
+    def test_double_pendulum_has_the_override(self, pendulum):
+        assert type(pendulum).mode_actions is not OscillatorySystem.mode_actions
+
+    @pytest.mark.parametrize("eps", [1e-3, 2e-2])
+    @pytest.mark.parametrize("elongation", [1.0, 10.0])
+    def test_matches_default(self, eps, elongation):
+        sys = make_double_pendulum(eps, 1.3, 0.7, 1.1, 0.9)
+        weights = sys.stiff_weights()
+        for state in random_bounded_energy_states(sys, 60, seed=650, elongation=elongation):
+            proj = sys.project_position(state.x)[0]
+            # about the projection, and about the raw position off the manifold
+            for x, pos in ((state.x, proj), (proj, state.x)):
+                got = sys.mode_actions(x, state.y, pos, weights)
+                want = OscillatorySystem.mode_actions(sys, x, state.y, pos, weights)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert np.all(np.abs(got[2] - want[2]) <= self.RTOL * np.abs(want[2]))
+
+    def test_observer_omegas_are_manifold_frequencies(self, pendulum):
+        for state in random_bounded_energy_states(pendulum, 10, seed=651):
+            pos, fset, _ = diagnostics._mode_split(pendulum, state.x, state.y)
+            want = effective.manifold_frequencies(pendulum, pos)
+            assert np.array_equal(fset.omegas, want.omegas)
+            assert np.array_equal(fset.vectors, want.vectors)
+
+    def test_same_failures(self, pendulum):
+        s = math.sqrt(0.5)
+        on_manifold = np.array([s, -s, math.sqrt(2.0), 0.0])
+        y = np.array([0.1, 0.2, -0.3, 0.4])
+        weights = pendulum.stiff_weights()
+        zero = np.array([1.0, 0.0])
+        assert_same_failure_of(
+            pendulum, "mode_actions", (on_manifold, y, on_manifold, zero), NotPositiveDefinite
+        )
+        for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
+            assert_same_failure_of(
+                pendulum, "mode_actions", (on_manifold, y, collapsed, weights), DomainError
+            )
+        for k in range(4):
+            x = on_manifold.copy()
+            x[k] = math.nan
+            assert_same_failure_of(pendulum, "mode_actions", (x, y, x, weights), NoConvergence)
+
+    def test_observer_failures(self, monkeypatch, pendulum):
+        s = math.sqrt(0.5)
+        on_manifold = np.array([s, -s, math.sqrt(2.0), 0.0])
+        y = np.zeros(4)
+        collapsed = np.array([0.0, 1e-9, 0.7, -0.7])
+        with pytest.raises(DomainError, match="spring 0 length collapsed"):
+            diagnostics._mode_split(pendulum, on_manifold, y, collapsed)
+        monkeypatch.setattr(pendulum, "stiff_weights", lambda: np.array([1.0, 0.0]))
+        want = outcome(lambda: effective.manifold_frequencies(pendulum, on_manifold))
+        got = outcome(lambda: diagnostics._mode_split(pendulum, on_manifold, y, on_manifold))
+        assert type(got) is type(want) is effective.GapViolation
+        assert str(got) == str(want)
+
+    def test_other_models_run_the_default(self, monkeypatch, pendulum):
+        calls = []
+        default = OscillatorySystem.mode_actions
+
+        def spy(sys, *args):
+            calls.append(type(sys).__name__)
+            return default(sys, *args)
+
+        monkeypatch.setattr(OscillatorySystem, "mode_actions", spy)
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        start = random_bounded_energy_states(chain, 1, seed=652)[0]
+        compute_actions(chain, start.x, start.y)
+        # Scaled declares no stiff weights and takes frequencies();
+        # Weighted declares them and runs the default
+        s = orthogonal(4, seed=652)
+        state = random_bounded_energy_states(pendulum, 1, seed=652)[0]
+        x = np.linalg.inv(s) @ state.x
+        compute_actions(Scaled(pendulum, s), x, state.y)
+        compute_actions(Weighted(pendulum, s), x, state.y)
+        assert calls == ["StiffSpringChain", "Weighted"]
+        compute_actions(pendulum, state.x, state.y)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "actions, want",
+        [
+            ([[1.0, 2.0], [1.5, 2.0], [1.0, 2.25]], 0.5),
+            ([[math.nan, 2.0], [1.5, 2.0], [1.0, 2.25]], 0.0),  # every difference nan
+            ([[1.0, 2.0], [9.0, math.nan], [1.0, 2.25]], 0.25),  # the middle record left out
+            ([[1.0, 2.0], [1.5, 2.0], [9.0, math.nan]], 0.5),  # the last record left out
+            ([[1.0, 2.0], [1.0, math.inf], [1.25, 2.0]], math.inf),
+            ([[], []], 0.0),
+        ],
+        ids=["finite", "nan-in-base", "nan-in-middle", "nan-in-last", "inf", "no-modes"],
+    )
+    def test_action_drift_matches_numpy_form(self, actions, want):
+        records = action_records(*actions)
+        got = action_drift(records)
+        assert bits(got) == bits(np_action_drift(records)) == bits(want)

@@ -58,6 +58,16 @@ NOT_NUMBER_IDS = [
     "bool-in-lengths", "bool-in-x0", "string-in-y0",
 ]
 
+# configs with a bool where a number belongs: each passes the range
+# checks as 1.0 (epsilon falls outside (0, 1) as 1.0 but is named too)
+BOOL_NUMBERS = [
+    (dict(epsilon=True), "epsilon"),
+    (dict(t_end=True), "t_end"),
+    (dict(h_ref=True), "h_ref"),
+    (dict(stepsizes=[True, 0.5]), "stepsizes"),
+]
+BOOL_NUMBER_IDS = ["bool-epsilon", "bool-t-end", "bool-h-ref", "bool-in-stepsizes"]
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -141,6 +151,11 @@ class TestConfig:
         # numpy would read true as 1.0 and "2" as 2.0
         with pytest.raises(ConfigError, match="must be numeric"):
             small_config(tmp_path, **params)
+
+    @pytest.mark.parametrize("over, field", BOOL_NUMBERS, ids=BOOL_NUMBER_IDS)
+    def test_bool_number_names_its_field(self, tmp_path, over, field):
+        with pytest.raises(ConfigError, match=f"{field} must be (a number|numbers), not"):
+            small_config(tmp_path, **dict(dict(t_end=1.0, stepsizes=[0.5]), **over))
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -661,6 +676,15 @@ class TestCli:
         code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "must be numeric" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_bool_number_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(short_json(t_end=True))
+        code = cli.main(["converge", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "t_end must be a number, not True" in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("n_springs", [2.9, True, 0, "2"], ids=["float", "bool", "zero", "string"])
