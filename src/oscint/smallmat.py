@@ -6,6 +6,11 @@ generalized symmetric eigensolver obtained by Cholesky reduction, and a
 damped Newton iteration.  Intended for matrices of order <= ~64.  The
 kernels run scalar loops on nested lists: at these orders numpy's
 per-call overhead costs more than the arithmetic.
+
+Three 2 x 2 primitives on plain floats serve the float kernels of the
+two-spring chain: cholesky_2x2, solve_2x2 and jacobi_rotation.  Each
+keeps the rules of the general kernel beside it, which is its oracle
+(cholesky, solve_dense and sym_eig, whose rotation it is).
 """
 
 from __future__ import annotations
@@ -106,6 +111,21 @@ def cholesky(a) -> np.ndarray:
     return np.array(lower)
 
 
+def cholesky_2x2(s00, s01, s11):
+    """(l00, l10, l11) of cholesky([[s00, s01], [s01, s11]]) on floats,
+    with its pivot test, tolerance (nan when the diagonal holds a nan)
+    and message."""
+    tol = math.nan if math.isnan(s00) or math.isnan(s11) else 1e-14 * max(s00, s11, 0.0)
+    if not s00 > tol:
+        raise NotPositiveDefinite(f"pivot {s00:.3e} at index 0 (tolerance {tol:.3e})")
+    l00 = math.sqrt(s00)
+    l10 = s01 / l00
+    pivot = s11 - l10 * l10
+    if not pivot > tol:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} at index 1 (tolerance {tol:.3e})")
+    return l00, l10, math.sqrt(pivot)
+
+
 def solve_lower(lower, b):
     """Solve L x = b for lower-triangular L; b may be a vector or matrix."""
     low = np.asarray(lower, dtype=float).tolist()
@@ -178,6 +198,40 @@ def _eliminate(a, x):
     return x
 
 
+def solve_2x2(j00, j01, j10, j11, b0, b1):
+    """(s0, s1) of solve_dense([[j00, j01], [j10, j11]], [b0, b1]) on
+    floats, with _eliminate's first-largest pivot, singularity threshold
+    and message.  The back substitution subtracts j01 * s1 from b0
+    directly where _eliminate subtracts 0.0 + j01 * s1, so only the sign
+    of a zero s0 may differ."""
+    a00, a01, a10, a11 = abs(j00), abs(j01), abs(j10), abs(j11)
+    # nan when an entry is nan, as _max makes it
+    scale = math.nan if math.isnan(a00 + a01 + a10 + a11) else max(a00, a01, a10, a11)
+    small = 1e-300 + 1e-15 * scale
+    if a10 > a00:
+        j00, j01, j10, j11, b0, b1 = j10, j11, j00, j01, b1, b0
+    if abs(j00) <= small:
+        raise SingularMatrix(f"pivot {j00:.3e} in column 0")
+    f = j10 / j00
+    if f != 0.0:
+        j11 = j11 - f * j01
+        b1 = b1 - f * b0
+    if abs(j11) <= small:
+        raise SingularMatrix(f"pivot {j11:.3e} in column 1")
+    s1 = b1 / j11
+    return (b0 - j01 * s1) / j00, s1
+
+
+def jacobi_rotation(app, aqq, apq):
+    """(t, c, s) of the Jacobi rotation that zeroes apq of a symmetric
+    matrix: t = tan, c = cos and s = sin of its angle, the new diagonal
+    being app - t apq and aqq + t apq."""
+    tau = (aqq - app) / (2.0 * apq)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    return t, c, t * c
+
+
 def sym_eig(a) -> EigenPairs:
     """All eigenpairs of a symmetric matrix by the cyclic Jacobi method.
 
@@ -220,12 +274,9 @@ def sym_eig(a) -> EigenPairs:
                 apq = a[p][q]
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
                 app = a[p][p]
                 aqq = a[q][q]
+                t, c, s = jacobi_rotation(app, aqq, apq)
                 a[p][p] = app - t * apq
                 a[q][q] = aqq + t * apq
                 a[p][q] = 0.0

@@ -290,6 +290,37 @@ class TestSpringChain:
         with pytest.raises(ValueError, match=f"spring {field} must be positive and finite"):
             make_double_pendulum(1e-2, **params)
 
+    @pytest.mark.parametrize("n_springs", [2, 3])
+    @pytest.mark.parametrize("name", [
+        "constraint", "constraint_jacobian", "constraint_hessian", "grad_stiff",
+        "hess_stiff_contract", "momentum_projector", "projection_jacobian_t",
+        "manifold_frequencies", "mode_actions",
+    ])
+    def test_list_inputs(self, name, n_springs):
+        # the float kernels of two springs and the chain's generic paths
+        # take any array-like, as the contract's defaults do
+        chain = make_spring_chain(n_springs, 2e-2, [1.0, 1.3, 0.8][:n_springs], [1.0, 0.7, 1.2][:n_springs])
+        state = sample_states(chain, 1, seed=38, elongation=10.0)[0]
+        x, y = state.x, state.y + 0.3
+        position, lam = chain.project_position(x)
+        weights = chain.stiff_weights()
+        args = {
+            "constraint": (x,),
+            "constraint_jacobian": (x,),
+            "constraint_hessian": (x, lam),
+            "grad_stiff": (x,),
+            "hess_stiff_contract": (x, y),
+            "momentum_projector": (x,),
+            "projection_jacobian_t": (x, position, lam),
+            "manifold_frequencies": (position, weights),
+            "mode_actions": (x, y, position, weights),
+        }[name]
+        method = getattr(chain, name)
+        got = method(*[a.tolist() for a in args])
+        want = method(*args)
+        for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+            assert np.array_equal(g, w)
+
 
 class TestManifoldEquivalence:
     def test_zero_stiff_gradient_iff_zero_constraint(self, pendulum):

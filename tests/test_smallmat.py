@@ -321,3 +321,150 @@ class TestListKernelsAgainstNumpyOracles:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             cholesky(np.ones((2, 3)))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def pair_eig(a00, a01, a11):
+    """sym_eig of [[a00, a01], [a01, a11]] as the two-spring kernels take
+    it: sym_eig's stopping test, one jacobi_rotation, the ascending
+    order; (values, vectors row-major)."""
+    norm = math.sqrt(a00 * a00 + a01 * a01 + a01 * a01 + a11 * a11)
+    rows = [1.0, 0.0, 0.0, 1.0]
+    if math.sqrt(2.0 * (a01 * a01)) > 1e-15 * norm:
+        t, c, s = smallmat.jacobi_rotation(a00, a11, a01)
+        a00, a11 = a00 - t * a01, a11 + t * a01
+        rows = [c, s, -s, c]  # the rotated identity
+    if a11 < a00:
+        return [a11, a00], [rows[1], rows[0], rows[3], rows[2]]
+    return [a00, a11], rows
+
+
+class TestPairPrimitives:
+    """smallmat's 2 x 2 float primitives against the general kernels
+    that are their oracles: the same results bit for bit (solve_2x2 by
+    value, see its docstring), the same exception class and message."""
+
+    NON_FINITE = (math.nan, math.inf, -math.inf)
+
+    @staticmethod
+    def cholesky_oracle(s00, s01, s11):
+        lower = cholesky(np.array([[s00, s01], [s01, s11]]))
+        return lower[0, 0], lower[1, 0], lower[1, 1]
+
+    def assert_cholesky_same(self, s00, s01, s11):
+        """The failure (class, message), or None, of both."""
+        got, got_failure = outcome(smallmat.cholesky_2x2, s00, s01, s11)
+        want, failure = outcome(self.cholesky_oracle, s00, s01, s11)
+        assert got_failure == failure
+        if failure is None:
+            assert bits(got) == bits(want)
+        return failure
+
+    def test_cholesky_matches_oracle(self):
+        rng = np.random.default_rng(2401)
+        for _ in range(600):
+            a = random_spd(rng, 2) * 10.0 ** rng.uniform(-3, 3)
+            assert self.assert_cholesky_same(a[0, 0], a[0, 1], a[1, 1]) is None
+
+    def test_cholesky_failures(self):
+        rng = np.random.default_rng(2402)
+        cases = [
+            (0.0, 0.0, 1.0), (-1.0, 0.5, 2.0), (1e-300, 0.0, 1.0),  # pivot at index 0
+            (1.0, 2.0, 1.0), (1.0, 1.0, 1.0), (4.0, 2.0, 1.0),  # pivot at index 1
+            (1.0, 0.0, -0.0), (1.0, 0.0, 1e-15),
+        ]
+        for _ in range(100):
+            c = rng.standard_normal(2)
+            cases.append((c[0] * c[0], c[0] * c[1], c[1] * c[1]))  # rank 1
+        for k in range(3):
+            for bad in self.NON_FINITE:
+                entries = [2.0, 0.5, 1.0]
+                entries[k] = bad
+                cases.append(tuple(entries))
+        raised = {0: 0, 1: 0}
+        for case in cases:
+            failure = self.assert_cholesky_same(*case)
+            if failure is not None:
+                assert failure[0] is NotPositiveDefinite
+                raised[int("at index 1" in failure[1])] += 1
+        assert raised[0] >= 8 and raised[1] >= 100
+
+    @staticmethod
+    def solve_oracle(j00, j01, j10, j11, b0, b1):
+        return solve_dense(np.array([[j00, j01], [j10, j11]]), np.array([b0, b1]))
+
+    def assert_solve_same(self, *args):
+        """The failure (class, message), or None, of both."""
+        got, got_failure = outcome(smallmat.solve_2x2, *args)
+        want, failure = outcome(self.solve_oracle, *args)
+        assert got_failure == failure
+        if failure is None:
+            assert np.array_equal(got, want, equal_nan=True)
+        return failure
+
+    def test_solve_matches_oracle(self):
+        rng = np.random.default_rng(2403)
+        swaps = 0
+        for _ in range(600):
+            j00, j01, j10, j11, b0, b1 = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)
+            swaps += abs(j10) > abs(j00)
+            assert self.assert_solve_same(j00, j01, j10, j11, b0, b1) is None
+            # a tie: the first row keeps the pivot
+            assert self.assert_solve_same(j00, j01, -j00, j11, b0, b1) is None
+        assert swaps >= 200
+
+    def test_solve_branches_and_failures(self):
+        cases = [
+            (1.0, 2.0, 3.0, 4.0, 1.0, -1.0),  # row swap
+            (2.0, 1.0, -2.0, 3.0, 1.0, 1.0),  # tie: the first row keeps the pivot
+            (2.0, 1.0, 0.0, 3.0, 1.0, 1.0),  # f = 0
+            (0.0, 1.0, 0.0, 2.0, 1.0, 1.0),  # singular first column
+            (1e-300, 1.0, 0.0, 1.0, 1.0, 1.0),
+            (1.0, 2.0, 2.0, 4.0, 1.0, 1.0),  # singular second column
+            (1.0, 2.0, 0.0, 1e-16, 1.0, 1.0),
+        ]
+        for k in range(6):
+            for bad in self.NON_FINITE:
+                entries = [1.0, 2.0, 3.0, 4.0, 1.0, -1.0]
+                entries[k] = bad
+                cases.append(tuple(entries))
+        raised = []
+        for case in cases:
+            failure = self.assert_solve_same(*case)
+            if failure is not None:
+                raised.append(failure[1].split(" in ")[1])
+        assert raised.count("column 0") >= 2 and raised.count("column 1") >= 2
+
+    def assert_eig_same(self, a00, a01, a11):
+        values, vectors = pair_eig(a00, a01, a11)
+        want = sym_eig(np.array([[a00, a01], [a01, a11]]))
+        assert bits(values) == bits(want.values)
+        assert bits(vectors) == bits(want.vectors)
+
+    def test_rotation_matches_sym_eig(self):
+        rng = np.random.default_rng(2404)
+        for _ in range(600):
+            a = smallmat.symmetrize(rng.standard_normal((2, 2))) * 10.0 ** rng.uniform(-3, 3)
+            self.assert_eig_same(a[0, 0], a[0, 1], a[1, 1])
+            # sym_eig calls jacobi_rotation too: its formula, written out
+            tau = (a[1, 1] - a[0, 0]) / (2.0 * a[0, 1])
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            got = smallmat.jacobi_rotation(a[0, 0], a[1, 1], a[0, 1])
+            assert bits(got) == bits([t, c, t * c])
+
+    def test_rotation_cases(self):
+        for a00, a01, a11 in [
+            (1.0, 0.0, 2.0), (2.0, 0.0, 1.0), (2.0, 0.0, 2.0),  # no rotation, tie order
+            (1.0, 0.5, 1.0), (1.0, -0.5, 1.0),  # equal diagonal: tau = +0 and -0
+            (1.0, 1e-20, 2.0),  # below the stopping test
+            (0.0, 1.0, 0.0), (3.0, 1.0, -3.0),
+        ]:
+            self.assert_eig_same(a00, a01, a11)
+        # tau = -0: the rotation takes the sign of the zero
+        c = 1.0 / math.sqrt(2.0)
+        assert smallmat.jacobi_rotation(1.0, 1.0, -0.5) == (-1.0, c, -c)
+        assert smallmat.jacobi_rotation(1.0, 1.0, 0.5) == (1.0, c, c)
