@@ -21,7 +21,7 @@ import numpy as np
 
 from . import smallmat
 from .effective import FrequencySet, GapViolation, frequencies
-from .geometry import momentum_projector, project_to_manifold
+from .geometry import project_momentum, project_to_manifold
 from .integrators import Trajectory
 from .model import OscillatorySystem, State, hamiltonian, modal_actions
 
@@ -223,7 +223,7 @@ def error_metrics(traj: Trajectory, ref: Trajectory, sys: OscillatorySystem) -> 
     err_py = np.empty(t_q.size)
     for i, (x, y) in enumerate(zip(traj.x, traj.y)):
         err_x[i] = float(np.max(np.abs(x - x_ref[i])))
-        p_traj = momentum_projector(sys, x) @ y
-        p_ref = momentum_projector(sys, x_ref[i]) @ y_ref[i]
+        p_traj = project_momentum(sys, x, y)
+        p_ref = project_momentum(sys, x_ref[i], y_ref[i])
         err_py[i] = float(np.max(np.abs(p_traj - p_ref)))
     return ErrorMetrics(float(np.max(err_x)), float(np.max(err_py)))

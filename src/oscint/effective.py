@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import smallmat
-from .geometry import RankDeficient, consistent_state, momentum_projector
+from .geometry import RankDeficient, consistent_state, project_momentum
 from .integrators import Trajectory, _sampled_run
 from .model import OscillatorySystem, State
 
@@ -133,7 +133,7 @@ def _rattle_step_cached(sys, state, actions, h, force0):
     half-step multiplier lam, the position stage solves
     constraint(z + G(x0)^T mu) = 0 for the drifted point
     z = x0 + h (y0 + h/2 f0): sys.project_position with base z.
-    The velocity stage is the momentum projector at the end point.
+    The velocity stage applies the momentum projector at the end point.
     """
     x0 = state.x
     if force0 is None:
@@ -145,7 +145,7 @@ def _rattle_step_cached(sys, state, actions, h, force0):
         raise RankDeficient(f"constraint Gram matrix not SPD at x: {exc}") from exc
     y_half = y_kick + sys.constraint_jacobian(x0).T @ mu / h
     force1 = _applied_force(sys, x1, actions)
-    y1 = momentum_projector(sys, x1) @ (y_half + 0.5 * h * force1)
+    y1 = project_momentum(sys, x1, y_half + 0.5 * h * force1)
     return State(x1, y1, state.t + h), force1
 
 

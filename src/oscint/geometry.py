@@ -3,7 +3,9 @@
 The momentum projector that removes constraint-normal momentum
 components, the position projection onto the manifold with its exact
 Jacobian, and the map to consistent initial data for the
-constrained effective dynamics.
+constrained effective dynamics.  Runs apply the projector and the
+projection Jacobian to vectors (project_momentum, projection_vjp); their
+matrices, for the self-checks and tests, are assembled column by column.
 """
 
 from __future__ import annotations
@@ -35,15 +37,33 @@ class ManifoldProjection:
     jacobian_t: Optional[np.ndarray] = None
 
 
-def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
-    """Orthogonal projector P = I - G^T S^-1 G with S = G G^T, all
-    evaluated at x (sys.momentum_projector: on plain floats for the
-    two-spring chain).  P removes the constraint-normal momentum
-    component: G P = 0."""
+def project_momentum(sys: OscillatorySystem, x, v) -> np.ndarray:
+    """P(x) v, P = I - G^T S^-1 G with S = G G^T, all evaluated at x
+    (sys.project_momentum: on plain floats for the two-spring chain).
+    P removes the constraint-normal momentum component: G P v = 0."""
     try:
-        return sys.momentum_projector(x)
+        return sys.project_momentum(x, v)
     except smallmat.NotPositiveDefinite as exc:
         raise RankDeficient(f"constraint Gram matrix not SPD at x: {exc}") from exc
+
+
+def momentum_projector(sys: OscillatorySystem, x) -> np.ndarray:
+    """The n x n projector P(x), column j being project_momentum of the
+    unit vector e_j."""
+    return np.column_stack([project_momentum(sys, x, e) for e in np.eye(sys.n)])
+
+
+def projection_vjp(sys: OscillatorySystem, x, projection: ManifoldProjection, v) -> np.ndarray:
+    """J(x)^T v for the Jacobian J of the projection map at x, given the
+    projection of x (sys.projection_vjp, on plain floats for the
+    two-spring chain; at lam = 0, where J = P(x), project_momentum).  A
+    singular system raises RankDeficient."""
+    if not any(projection.lam.tolist()):
+        return project_momentum(sys, x, v)
+    try:
+        return sys.projection_vjp(x, projection.position, projection.lam, v)
+    except smallmat.SingularMatrix as exc:
+        raise RankDeficient(f"projection Jacobian system singular: {exc}") from exc
 
 
 def project_to_manifold(
@@ -59,9 +79,8 @@ def project_to_manifold(
     raises RankDeficient; a failed solve raises NoConvergence with the
     constraint residual at x before the solver's message.  With
     want_jacobian the exact implicit-function Jacobian transpose of the
-    projection map is returned as well (sys.projection_jacobian_t, on
-    plain floats for the two-spring chain); on the manifold it equals
-    the momentum projector exactly.
+    projection map is returned as well, column j being projection_vjp
+    of e_j; on the manifold it equals the momentum projector exactly.
     """
     x = np.asarray(x, dtype=float)
     try:
@@ -71,17 +90,12 @@ def project_to_manifold(
     except smallmat.NoConvergence as exc:
         start = ", ".join(f"{v:.3g}" for v in sys.constraint(x).tolist())
         raise smallmat.NoConvergence(f"start residual c(x) = ({start}): {exc}") from exc
-    jac_t = None
+    projection = ManifoldProjection(position, lam)
     if want_jacobian:
-        if not any(lam.tolist()):
-            # at lam = 0 the implicit Jacobian collapses to the projector
-            jac_t = momentum_projector(sys, x)
-        else:
-            try:
-                jac_t = sys.projection_jacobian_t(x, position, lam)
-            except smallmat.SingularMatrix as exc:
-                raise RankDeficient(f"projection Jacobian system singular: {exc}") from exc
-    return ManifoldProjection(position, lam, jac_t)
+        projection.jacobian_t = np.column_stack(
+            [projection_vjp(sys, x, projection, e) for e in np.eye(sys.n)]
+        )
+    return projection
 
 
 def consistent_state(sys: OscillatorySystem, x0, y0):
@@ -91,7 +105,5 @@ def consistent_state(sys: OscillatorySystem, x0, y0):
     projector at the projected position removes the constraint-normal
     momentum component.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     pos = project_to_manifold(sys, x0).position
-    return pos, momentum_projector(sys, pos) @ y0
+    return pos, project_momentum(sys, pos, y0)

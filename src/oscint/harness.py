@@ -177,16 +177,13 @@ class SweepResult:
     reference_guard: Optional[float] = None  # max ref change under h_ref halving
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_csv(path, header, rows):
-    """Header and rows as CSV: strings as they are, numbers with _fmt."""
+    """Header and rows as CSV: strings as they are, numbers in 17
+    significant digits (format "{:.17g}"), one pass per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+            fh.write(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]) + "\n")
 
 
 def write_rows_csv(path, rows: Sequence[SweepRow]):

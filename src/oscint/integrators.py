@@ -19,6 +19,9 @@ share the oscillate step and differ only in the kick force:
                projection of the position and J its exact Jacobian
     projected  kick with -P(x) grad slow(x), P the momentum projector
 
+Both projecting kicks apply their operator to the one vector
+(geometry.projection_vjp and project_momentum) and never assemble it.
+
 integrate, integrate_micro and effective.effective_reference share one
 sampling loop, _sampled_run: the same stride and horizon checks, samples,
 clock and IntegrationError on a failing step; each keeps only its step.
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import smallmat
-from .geometry import momentum_projector, project_to_manifold
+from .geometry import project_momentum, project_to_manifold, projection_vjp
 from .model import OscillatorySystem, State, leapfrog
 
 METHOD_KINDS = ("impulse", "mollified", "projected")
@@ -143,8 +146,6 @@ def stormer_verlet(
     coefficient -1.
     """
     _check_micro_stability(sys, state.x, h_micro)
-    x = state.x.copy()
-    y = state.y.copy()
     if include_slow:
         inv_eps2 = 1.0 / sys.epsilon ** 2
         grad_stiff = sys.grad_stiff
@@ -153,9 +154,11 @@ def stormer_verlet(
         def grad(z):
             return grad_slow(z) + inv_eps2 * grad_stiff(z)
 
-        x, y = leapfrog(grad, -1.0, x, y, h_micro, nsteps)
+        x, y = leapfrog(grad, -1.0, state.x, state.y, h_micro, nsteps)
     else:
-        x, y = sys.stiff_flow(x, y, h_micro, nsteps)
+        x, y = sys.stiff_flow(state.x, state.y, h_micro, nsteps)
+    if nsteps == 0:  # leapfrog returns its inputs; with steps both flows return new arrays
+        x, y = x.copy(), y.copy()
     return State(x, y, state.t + nsteps * h_micro)
 
 
@@ -180,12 +183,12 @@ def _kick_force_impulse(sys, x):
 
 
 def _kick_force_mollified(sys, x):
-    moll = project_to_manifold(sys, x, want_jacobian=True)
-    return moll.jacobian_t @ sys.grad_slow(moll.position), moll.position
+    moll = project_to_manifold(sys, x)
+    return projection_vjp(sys, x, moll, sys.grad_slow(moll.position)), moll.position
 
 
 def _kick_force_projected(sys, x):
-    return momentum_projector(sys, x) @ sys.grad_slow(x), None
+    return project_momentum(sys, x, sys.grad_slow(x)), None
 
 
 _KICK_FORCES = {

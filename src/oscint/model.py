@@ -60,7 +60,7 @@ class OscillatorySystem:
     stiff_potential, grad_stiff, hess_stiff, constraint and
     constraint_jacobian.  All evaluators must be pure.  stiff_flow,
     stiff_eig_bound, hess_stiff_contract, constraint_hessian,
-    project_position, momentum_projector, projection_jacobian_t,
+    project_position, project_momentum, projection_vjp,
     manifold_frequencies and mode_actions have generic defaults; a model
     may override them with faster or exact versions.
     stiff_weights is optional as well.
@@ -156,41 +156,44 @@ class OscillatorySystem:
         lam = smallmat.newton_solve(residual, jacobian, np.zeros(self.m), tol=1e-12)
         return base + gt @ lam, lam
 
-    def momentum_projector(self, x) -> np.ndarray:
-        """Orthogonal projector P = I - G^T S^-1 G with S = G G^T, all
-        at x (geometry.momentum_projector).
+    def project_momentum(self, x, v) -> np.ndarray:
+        """P(x) v = v - G^T S^-1 G v with S = G G^T, all at x: the
+        orthogonal projection of v onto the tangent space
+        (geometry.project_momentum).
 
         Default: S by numpy, then smallmat.solve_spd, raising
-        smallmat.NotPositiveDefinite when S is not SPD.  An override
-        must keep the pivot test and the exception classes.
+        smallmat.NotPositiveDefinite when S is not SPD; for m = 0 the
+        result is v.  An override must keep the pivot test and the
+        exception classes.
         """
         x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         jac = self.constraint_jacobian(x)
-        coeff = smallmat.solve_spd(jac @ jac.T, jac)  # m x n, = S^-1 G
-        return np.eye(self.n) - jac.T @ coeff
+        return v - jac.T @ smallmat.solve_spd(jac @ jac.T, jac @ v)
 
-    def projection_jacobian_t(self, x, position, lam) -> np.ndarray:
-        """Transpose of d(position)/dx for the projection (position, lam)
-        of x (project_position), by implicit differentiation.
+    def projection_vjp(self, x, position, lam, v) -> np.ndarray:
+        """J(x)^T v for J = d(position)/dx, the Jacobian of the
+        projection (position, lam) of x (project_position), by implicit
+        differentiation.
 
         Differentiating position = x + G(x)^T lam(x) and
         constraint(position(x)) = 0 gives, with D = sum_k lam_k
         hess constraint_k(x) the x-derivative of the map
-        x -> G(x)^T lam at frozen lam and B = I + D:
+        x -> G(x)^T lam at frozen lam and B = I + D (symmetric):
 
-            d(position)/dx = B - G(x)^T S~^-1 G(position) B,
-            S~ = G(position) G(x)^T.
+            J = B - G(x)^T S~^-1 G(position) B,  S~ = G(position) G(x)^T,
+            J^T v = B (v - G(position)^T S~^-T G(x) v),
 
-        Default: numpy products and smallmat.solve_dense, raising
-        smallmat.SingularMatrix when S~ is singular.  An override must
-        keep that threshold and the exception classes.
+        one m x m solve with S~^T.  Default: numpy products and
+        smallmat.solve_dense on S~^T, raising smallmat.SingularMatrix
+        when it is singular.  An override must keep that threshold and
+        the exception classes.
         """
-        gt = self.constraint_jacobian(x).T
-        b = np.eye(self.n) + self.constraint_hessian(x, lam)
+        v = np.asarray(v, dtype=float)
+        jac = self.constraint_jacobian(x)
         jac_pos = self.constraint_jacobian(position)
-        gram = jac_pos @ gt  # m x m, generally non-symmetric
-        coeff = smallmat.solve_dense(gram, jac_pos @ b)
-        return (b - gt @ coeff).T
+        u = v - jac_pos.T @ smallmat.solve_dense(jac @ jac_pos.T, jac @ v)
+        return u + self.constraint_hessian(x, lam) @ u
 
     def manifold_frequencies(self, x, weights):
         """(omegas, vectors) from the m x m SPD matrix
@@ -369,25 +372,6 @@ def _pair_segments(x0, x1, x2, x3):
     return r1, d0, d1, r2
 
 
-def _pair_columns(segs):
-    """Columns (G_0j, G_1j), j = 0..3, of the two-spring constraint
-    Jacobian, from the segments (d0, d1, r) of its springs."""
-    (d0, d1, r1), (e0, e1, r2) = segs
-    v0 = e0 / r2
-    v1 = e1 / r2
-    return (d0 / r1, -v0), (d1 / r1, -v1), (0.0, v0), (0.0, v1)
-
-
-def _pair_gram(cols):
-    """Entries (s00, s01, s11) of A^T A for the rows (a_j0, a_j1) of A."""
-    s00 = s01 = s11 = 0.0
-    for a0, a1 in cols:
-        s00 += a0 * a0
-        s01 += a0 * a1
-        s11 += a1 * a1
-    return s00, s01, s11
-
-
 def _pair_modes(x0, x1, x2, x3, weights):
     """(omega_0, omega_1, mode vectors) of the two-spring chain at x:
     S = A^T A for A = G^T K^1/2, whose rows are (u_j k_0, -v_j k_1) for
@@ -476,6 +460,11 @@ class StiffSpringChain(OscillatorySystem):
         self._a2 = [a ** 2 for a in self.alphas.tolist()]
         self._len = self.lengths.tolist()
         self._eig_bound = self._a2[0] + 2.0 * sum(self._a2[1:])
+        # constant vectors, built once and read-only: a write fails loudly
+        self._weights = np.array(self._a2)
+        self._gravity = np.zeros(self.n)
+        self._gravity[1::2] = 1.0
+        self._weights.flags.writeable = self._gravity.flags.writeable = False
 
     def _segments(self, x):
         """Per spring: (dx, dy, length), measured from the previous bob."""
@@ -500,9 +489,7 @@ class StiffSpringChain(OscillatorySystem):
         return total
 
     def grad_slow(self, x):
-        g = np.zeros(self.n)
-        g[1::2] = 1.0
-        return g
+        return self._gravity
 
     def stiff_potential(self, x):
         segs = self._segments(x)
@@ -568,7 +555,7 @@ class StiffSpringChain(OscillatorySystem):
         return np.array(g)
 
     def stiff_weights(self):
-        return np.array(self._a2)
+        return self._weights
 
     def constraint(self, x):
         segs = self._segments(x)
@@ -674,60 +661,58 @@ class StiffSpringChain(OscillatorySystem):
     # products in another order, so results agree with the default to
     # rounding, not bit for bit.  Other chains run the defaults.
 
-    def momentum_projector(self, x):
-        """P = I - G^T S^-1 G through the Cholesky factor of S = G G^T
-        (smallmat.cholesky_2x2)."""
+    def project_momentum(self, x, v):
+        """P v = v - G^T S^-1 G v through the Cholesky factor of
+        S = G G^T (smallmat.cholesky_2x2), one forward and one back
+        substitution."""
         if self.m != 2:
-            return super().momentum_projector(x)
-        cols = _pair_columns(self._segments(x))
-        l00, l10, l11 = smallmat.cholesky_2x2(*_pair_gram(cols))
-        # column j of S^-1 G by the forward and the back substitution
-        coeff = []
-        for g0, g1 in cols:
-            z0 = g0 / l00
-            w1 = (g1 - l10 * z0) / l11 / l11
-            coeff.append(((z0 - l10 * w1) / l00, w1))
-        p = [[-(g0 * w0 + g1 * w1) for w0, w1 in coeff] for g0, g1 in cols]
-        for i in range(4):
-            p[i][i] += 1.0
-        return np.array(p)
-
-    def projection_jacobian_t(self, x, position, lam):
-        """B = I + D from the constraint_hessian blocks, then the 2 x 2
-        system S~ by smallmat.solve_2x2, one call per column of B."""
-        if self.m != 2:
-            return super().projection_jacobian_t(x, position, lam)
-        (d0, d1, r1), (e0, e1, r2) = self._segments(x)
-        (f0, f1, s1), (g0, g1, s2) = self._segments(position)
-        u0, u1, v0, v1 = d0 / r1, d1 / r1, e0 / r2, e1 / r2  # G(x) = ((u, 0), (-v, v))
-        p0, p1, q0, q1 = f0 / s1, f1 / s1, g0 / s2, g1 / s2  # G(position)
-        # B = I + D from constraint_hessian's blocks h and k of the two
-        # springs: h on bob 1, k with + on both bobs' diagonal blocks and
-        # - off them
-        w0, w1 = np.asarray(lam, dtype=float).tolist()
-        h00, h01, h11 = _normal_block(w0, d0, d1, r1)
-        k00, k01, k11 = _normal_block(w1, e0, e1, r2)
-        b = (
-            (1.0 + (h00 + k00), h01 + k01, -k00, -k01),
-            (h01 + k01, 1.0 + (h11 + k11), -k01, -k11),
-            (-k00, -k01, 1.0 + k00, k01),
-            (-k01, -k11, k01, 1.0 + k11),
+            return super().project_momentum(x, v)
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        v0, v1, v2, v3 = np.asarray(v, dtype=float).tolist()
+        r1, d0, d1, r2 = _pair_segments(x0, x1, x2, x3)
+        u0, u1, w0, w1 = x0 / r1, x1 / r1, d0 / r2, d1 / r2  # G = ((u, 0), (-w, w))
+        l00, l10, l11 = smallmat.cholesky_2x2(
+            u0 * u0 + u1 * u1, -(u0 * w0 + u1 * w1), 2.0 * (w0 * w0 + w1 * w1)
         )
-        # S~ = G(position) G(x)^T, solved against column j of
-        # G(position) B, B's columns being its rows
-        j00 = p0 * u0 + p1 * u1
-        j01 = -(p0 * v0) - p1 * v1
-        j10 = -(q0 * u0) - q1 * u1
-        j11 = 2.0 * (q0 * v0 + q1 * v1)
-        sol = [
-            smallmat.solve_2x2(j00, j01, j10, j11, p0 * b0 + p1 * b1, q0 * (b2 - b0) + q1 * (b3 - b1))
-            for b0, b1, b2, b3 in b
-        ]
-        # row j of the transpose of B - G(x)^T S~^-1 G(position) B, from
-        # column j of the solution
+        # S^-1 G v, then v - G^T of it
+        z0 = (u0 * v0 + u1 * v1) / l00
+        t1 = ((w0 * (v2 - v0) + w1 * (v3 - v1)) - l10 * z0) / l11 / l11
+        t0 = (z0 - l10 * t1) / l00
         return np.array([
-            [b0 - (u0 * t0 - v0 * t1), b1 - (u1 * t0 - v1 * t1), b2 - v0 * t1, b3 - v1 * t1]
-            for (b0, b1, b2, b3), (t0, t1) in zip(b, sol)
+            v0 - (u0 * t0 - w0 * t1), v1 - (u1 * t0 - w1 * t1), v2 - w0 * t1, v3 - w1 * t1,
+        ])
+
+    def projection_vjp(self, x, position, lam, v):
+        """One smallmat.solve_2x2 with S~^T, then B = I + D applied
+        through constraint_hessian's blocks."""
+        if self.m != 2:
+            return super().projection_vjp(x, position, lam, v)
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        p0, p1, p2, p3 = np.asarray(position, dtype=float).tolist()
+        v0, v1, v2, v3 = np.asarray(v, dtype=float).tolist()
+        r1, d0, d1, r2 = _pair_segments(x0, x1, x2, x3)
+        s1, e0, e1, s2 = _pair_segments(p0, p1, p2, p3)
+        u0, u1, w0, w1 = x0 / r1, x1 / r1, d0 / r2, d1 / r2  # G(x) = ((u, 0), (-w, w))
+        a0, a1, b0, b1 = p0 / s1, p1 / s1, e0 / s2, e1 / s2  # G(position)
+        # S~^T = G(x) G(position)^T against G(x) v
+        t0, t1 = smallmat.solve_2x2(
+            a0 * u0 + a1 * u1, -(b0 * u0) - b1 * u1,
+            -(a0 * w0) - a1 * w1, 2.0 * (b0 * w0 + b1 * w1),
+            u0 * v0 + u1 * v1, w0 * (v2 - v0) + w1 * (v3 - v1),
+        )
+        # q = v - G(position)^T t, then B q = q + D q with D's blocks h
+        # (spring 1, on bob 1) and k (spring 2, on the difference of the bobs)
+        q0 = v0 - (a0 * t0 - b0 * t1)
+        q1 = v1 - (a1 * t0 - b1 * t1)
+        q2 = v2 - b0 * t1
+        q3 = v3 - b1 * t1
+        m0, m1 = np.asarray(lam, dtype=float).tolist()
+        h00, h01, h11 = _normal_block(m0, x0, x1, r1)
+        k00, k01, k11 = _normal_block(m1, d0, d1, r2)
+        f0 = k00 * (q2 - q0) + k01 * (q3 - q1)
+        f1 = k01 * (q2 - q0) + k11 * (q3 - q1)
+        return np.array([
+            q0 + (h00 * q0 + h01 * q1 - f0), q1 + (h01 * q0 + h11 * q1 - f1), q2 + f0, q3 + f1,
         ])
 
     def manifold_frequencies(self, x, weights):
@@ -777,13 +762,13 @@ class StiffSpringChain(OscillatorySystem):
         kick = -(1.0 / self.epsilon ** 2) * h_micro
         half = 0.5 * kick
         hypot = math.hypot
-        x0, x1, x2, x3 = x.tolist()
-        y0, y1, y2, y3 = y.tolist()
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        y0, y1, y2, y3 = np.asarray(y, dtype=float).tolist()
         r1, d0, d1, r2 = _pair_segments(x0, x1, x2, x3)
         c1 = a1 * (r1 - l1) / r1
         c2 = a2 * (r2 - l2) / r2
         if nsteps == 0:
-            return x.copy(), y.copy()
+            return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
         e0 = c2 * d0
         e1 = c2 * d1
         y0 = y0 + half * (c1 * x0 - e0)

@@ -304,18 +304,23 @@ class TestObserver:
         calls = []
         project = geometry.project_to_manifold
 
-        def counted(sys, x, want_jacobian=False):
-            calls.append(want_jacobian)
-            return project(sys, x, want_jacobian)
+        def counted_in(module):
+            def counted(sys, x, want_jacobian=False):
+                calls.append((module, want_jacobian))
+                return project(sys, x, want_jacobian)
 
-        monkeypatch.setattr(diagnostics, "project_to_manifold", counted)
-        monkeypatch.setattr(integrators, "project_to_manifold", counted)
+            return counted
+
+        monkeypatch.setattr(diagnostics, "project_to_manifold", counted_in("diagnostics"))
+        monkeypatch.setattr(integrators, "project_to_manifold", counted_in("integrators"))
         sys = make_double_pendulum(1e-2)
         obs = make_observer(sys)
         integrate(sys, bench_state, MacroMethod("mollified", 0.05), 0.5, observer=obs)
-        # the initial sample projects; every later one reuses a closing kick's
-        assert calls.count(False) == 1
-        assert calls.count(True) == 10 + 1
+        # the initial sample projects; every later one reuses a closing
+        # kick's, and no projection assembles the Jacobian
+        assert calls.count(("diagnostics", False)) == 1
+        assert calls.count(("integrators", False)) == 10 + 1
+        assert len(calls) == 12
 
 
 def np_action_drift(records):

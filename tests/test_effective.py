@@ -322,7 +322,7 @@ class Degenerate(OscillatorySystem):
 
 
 class TestRattleOnTheContract:
-    """The step built from project_position and momentum_projector
+    """The step built from project_position and project_momentum
     against the closure-based step it replaced (np_rattle_step)."""
 
     TOL = 1e-13

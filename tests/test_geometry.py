@@ -11,6 +11,7 @@ from oscint import (
     momentum_projector,
     project_to_manifold,
 )
+from oscint.geometry import project_momentum, projection_vjp
 from oscint import smallmat
 from oscint.model import DomainError, OscillatorySystem
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
@@ -341,79 +342,128 @@ def assert_same_outcome(got_run, want_run, tol):
     assert np.max(np.abs(got[ok] - want[ok]), initial=0.0) <= tol
 
 
-class TestProjectorAndJacobianKernels:
-    """The two-spring chain's float momentum_projector and
-    projection_jacobian_t against the generic numpy defaults, which are
-    their oracles."""
+def matrix_oracles(sys, x, position, lam):
+    """P(x) and J(x)^T as n x n matrices from their closed forms, with
+    numpy's own solver: P = I - G^T (G G^T)^-1 G and
+    J = B - G(x)^T S~^-1 G(position) B, B = I + constraint_hessian(x, lam),
+    S~ = G(position) G(x)^T."""
+    g = sys.constraint_jacobian(x)
+    g_pos = sys.constraint_jacobian(position)
+    b = np.eye(sys.n) + sys.constraint_hessian(x, lam)
+    p = np.eye(sys.n) - g.T @ np.linalg.solve(g @ g.T, g)
+    return p, (b - g.T @ np.linalg.solve(g_pos @ g.T, g_pos @ b)).T
 
+
+class TestProjectorAndJacobianKernels:
+    """The two-spring chain's float project_momentum and projection_vjp
+    against the generic numpy defaults, which are their oracles, and
+    against the matrices applied to the vector: the assembled ones of
+    geometry and the closed forms of matrix_oracles."""
+
+    # relative to the largest entry of the product, or to 1
     TOL = 1e-14
 
+    @classmethod
+    def assert_close(cls, got, want):
+        assert np.max(np.abs(got - want)) <= cls.TOL * max(1.0, float(np.max(np.abs(want))))
+
     def test_double_pendulum_has_the_overrides(self, pendulum):
-        for name in ("momentum_projector", "projection_jacobian_t"):
+        for name in ("project_momentum", "projection_vjp"):
             assert getattr(type(pendulum), name) is not getattr(OscillatorySystem, name)
 
     @pytest.mark.parametrize("eps", [2e-2, 1e-2, 1e-3])
     @pytest.mark.parametrize("elongation", [1.0, 10.0, 30.0])
     def test_matches_generic_path(self, eps, elongation):
+        # 160 states per case: 640 at eps in {1e-3, 2e-2} and elongation
+        # in {1, 10}
         sys = make_double_pendulum(eps)
-        for state in sample_states(sys, 60, seed=630, elongation=elongation):
-            got = sys.momentum_projector(state.x)
-            want = OscillatorySystem.momentum_projector(sys, state.x)
-            assert np.max(np.abs(got - want)) <= self.TOL
-            projection = outcome(lambda: sys.project_position(state.x))
+        rng = np.random.default_rng(635)
+        for state in sample_states(sys, 160, seed=630, elongation=elongation):
+            x = state.x
+            v = rng.standard_normal(4)
+            want = OscillatorySystem.project_momentum(sys, x, v)
+            self.assert_close(sys.project_momentum(x, v), want)
+            self.assert_close(momentum_projector(sys, x) @ v, want)
+            projection = outcome(lambda: project_to_manifold(sys, x, want_jacobian=True))
             if isinstance(projection, Exception):
                 continue  # a stalled projection: TestProjectionKernel's case
-            pos, lam = projection
-            got = sys.projection_jacobian_t(state.x, pos, lam)
-            want = OscillatorySystem.projection_jacobian_t(sys, state.x, pos, lam)
-            assert np.max(np.abs(got - want)) <= self.TOL
+            pos, lam = projection.position, projection.lam
+            p, jac_t = matrix_oracles(sys, x, pos, lam)
+            self.assert_close(p @ v, want)
+            want = OscillatorySystem.projection_vjp(sys, x, pos, lam, v)
+            self.assert_close(sys.projection_vjp(x, pos, lam, v), want)
+            self.assert_close(projection.jacobian_t @ v, want)
+            self.assert_close(jac_t @ v, want)
 
     def test_nan_entries(self, pendulum):
         x0 = np.array([0.7, -0.7, 1.4, 0.05])
+        v0 = np.array([0.3, -1.2, 0.5, 2.0])
         pos, lam = pendulum.project_position(x0)
         for k in range(4):
             x = x0.copy()
             x[k] = math.nan
-            assert_same_failure_of(pendulum, "momentum_projector", (x,), NotPositiveDefinite)
-            with pytest.raises(RankDeficient):
-                momentum_projector(pendulum, x)
-            with pytest.raises(RankDeficient):
-                project_to_manifold(pendulum, x, want_jacobian=True)
-            # the Jacobian itself raises nothing: nan spreads as in numpy
-            for args in ((x, pos, lam), (x0, x, lam), (x0, pos, x[1::2])):
+            v = v0.copy()
+            v[k] = math.nan
+            assert_same_failure_of(pendulum, "project_momentum", (x, v0), NotPositiveDefinite)
+            for call in (
+                lambda: project_momentum(pendulum, x, v0),
+                lambda: momentum_projector(pendulum, x),
+                lambda: project_to_manifold(pendulum, x, want_jacobian=True),
+            ):
+                with pytest.raises(RankDeficient):
+                    call()
+            # a nan in v, and anywhere in the Jacobian's product, raises
+            # nothing: nan spreads as in numpy
+            assert_same_outcome(
+                lambda: pendulum.project_momentum(x0, v),
+                lambda: OscillatorySystem.project_momentum(pendulum, x0, v),
+                self.TOL,
+            )
+            for args in ((x, pos, lam, v0), (x0, x, lam, v0), (x0, pos, x[1::2], v0), (x0, pos, lam, v)):
                 assert_same_outcome(
-                    lambda: pendulum.projection_jacobian_t(*args),
-                    lambda: OscillatorySystem.projection_jacobian_t(pendulum, *args),
+                    lambda: pendulum.projection_vjp(*args),
+                    lambda: OscillatorySystem.projection_vjp(pendulum, *args),
                     self.TOL,
                 )
 
     def test_collapsed_spring(self, pendulum):
         fine = np.array([0.7, -0.7, 1.4, 0.05])
         lam = np.array([1e-3, -2e-3])
+        v = np.array([0.3, -1.2, 0.5, 2.0])
         for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
-            assert_same_failure_of(pendulum, "momentum_projector", (collapsed,), DomainError)
-            assert_same_failure_of(pendulum, "projection_jacobian_t", (collapsed, fine, lam), DomainError)
-            assert_same_failure_of(pendulum, "projection_jacobian_t", (fine, collapsed, lam), DomainError)
+            assert_same_failure_of(pendulum, "project_momentum", (collapsed, v), DomainError)
+            assert_same_failure_of(pendulum, "projection_vjp", (collapsed, fine, lam, v), DomainError)
+            assert_same_failure_of(pendulum, "projection_vjp", (fine, collapsed, lam, v), DomainError)
+
+    @staticmethod
+    def gram_t(sys, x, position):
+        """S~^T = G(x) G(position)^T, the matrix of the vjp's solve."""
+        return sys.constraint_jacobian(x) @ sys.constraint_jacobian(position).T
 
     def test_pivoting_branches(self, pendulum):
-        x = np.array([1.0, 0.0, 1.0, -1.0])  # first unit segment u = (1, 0)
+        x = np.array([1.0, 0.0, 1.0, -1.0])  # unit segments u = (1, 0), w = (0, -1)
         lam = np.array([1e-3, -2e-3])
-        # the rows of G(position) G(x)^T must swap: the position's first
-        # segment is orthogonal to u, its second one is u
-        position = np.array([0.0, 1.0, 1.0, 1.0])
-        got = pendulum.projection_jacobian_t(x, position, lam)
-        want = OscillatorySystem.projection_jacobian_t(pendulum, x, position, lam)
-        assert np.max(np.abs(got - want)) <= self.TOL
-        # a zero first column: both of the position's segments are
-        # orthogonal to u
-        position = np.array([0.0, 1.0, 0.0, 2.0])
+        v = np.array([0.3, -1.2, 0.5, 2.0])
+        # no row swap: the position near x; a swap: the position's
+        # first segment is -w, so the first column of S~^T is (0, 1)
+        cases = ((np.array([0.9, 0.1, 1.1, -0.8]), False), (np.array([0.0, 1.0, 1.0, 1.0]), True))
+        for position, swap in cases:
+            s = self.gram_t(pendulum, x, position)
+            assert bool(abs(s[1, 0]) > abs(s[0, 0])) is swap
+            got = pendulum.projection_vjp(x, position, lam, v)
+            want = OscillatorySystem.projection_vjp(pendulum, x, position, lam, v)
+            self.assert_close(got, want)
+        # a singular S~^T: both of the position's segments are w, so the
+        # first row (u . w, -(u . w)) vanishes
+        position = np.array([0.0, -1.0, 0.0, -2.0])
+        assert not self.gram_t(pendulum, x, position)[0].any()
         assert_same_failure_of(
-            pendulum, "projection_jacobian_t", (x, position, lam), smallmat.SingularMatrix
+            pendulum, "projection_vjp", (x, position, lam, v), smallmat.SingularMatrix
         )
 
     def test_other_models_run_the_default(self, monkeypatch, pendulum):
         calls = []
-        for name in ("momentum_projector", "projection_jacobian_t"):
+        for name in ("project_momentum", "projection_vjp"):
             default = getattr(OscillatorySystem, name)
 
             def spy(sys, *args, _name=name, _default=default):
@@ -421,34 +471,38 @@ class TestProjectorAndJacobianKernels:
                 return _default(sys, *args)
 
             monkeypatch.setattr(OscillatorySystem, name, spy)
+
+        def apply_both(sys, x):
+            v = np.arange(1.0, sys.n + 1.0)
+            project_momentum(sys, x, v)
+            projection = project_to_manifold(sys, x)
+            assert projection.lam.any()  # lam = 0 would take project_momentum
+            projection_vjp(sys, x, projection, v)
+
         chains = [
             make_spring_chain(1, 1e-2, [1.0], [1.0]),
             make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
         ]
         for sys in chains:
-            x = sample_states(sys, 1, seed=631, elongation=10.0)[0].x
-            momentum_projector(sys, x)
-            project_to_manifold(sys, x, want_jacobian=True)
+            apply_both(sys, sample_states(sys, 1, seed=631, elongation=10.0)[0].x)
         scaled = Scaled(pendulum, orthogonal(4, seed=630))
-        x = scaled.s_inv @ sample_states(pendulum, 1, seed=632, elongation=10.0)[0].x
-        momentum_projector(scaled, x)
-        project_to_manifold(scaled, x, want_jacobian=True)
+        apply_both(scaled, scaled.s_inv @ sample_states(pendulum, 1, seed=632, elongation=10.0)[0].x)
         assert calls == [
             (name, model)
             for model in ("StiffSpringChain", "StiffSpringChain", "Scaled")
-            for name in ("momentum_projector", "projection_jacobian_t")
+            for name in ("project_momentum", "projection_vjp")
         ]
-        x = sample_states(pendulum, 1, seed=633, elongation=10.0)[0].x
-        momentum_projector(pendulum, x)
-        project_to_manifold(pendulum, x, want_jacobian=True)
+        apply_both(pendulum, sample_states(pendulum, 1, seed=633, elongation=10.0)[0].x)
         assert len(calls) == 6
 
     def test_inputs_not_modified(self, pendulum):
+        rng = np.random.default_rng(636)
         for state in sample_states(pendulum, 5, seed=634, elongation=10.0):
-            x = state.x.copy()
-            pendulum.momentum_projector(state.x)
+            v = rng.standard_normal(4)
+            x, kept_v = state.x.copy(), v.copy()
+            pendulum.project_momentum(state.x, v)
             pos, lam = pendulum.project_position(state.x)
             kept = (pos.copy(), lam.copy())
-            pendulum.projection_jacobian_t(state.x, pos, lam)
-            assert np.array_equal(state.x, x)
+            pendulum.projection_vjp(state.x, pos, lam, v)
+            assert np.array_equal(state.x, x) and np.array_equal(v, kept_v)
             assert np.array_equal(pos, kept[0]) and np.array_equal(lam, kept[1])

@@ -125,6 +125,21 @@ class TestStormerVerlet:
         ratio = err(160) / err(320)
         assert 3.4 <= ratio <= 4.6
 
+    @pytest.mark.parametrize("include_slow", [False, True])
+    @pytest.mark.parametrize("nsteps", [0, 1, 5])
+    def test_result_never_aliases_the_input(self, include_slow, nsteps):
+        # the stiff flow (the two-spring kernel and the generic loop) and
+        # the full flow: leapfrog returns its inputs for nsteps = 0
+        for sys in kernel_systems():
+            state = random_bounded_energy_states(sys, 1, seed=512)[0]
+            before = state.copy()
+            out = stormer_verlet(sys, state, sys.epsilon / 100, nsteps, include_slow=include_slow)
+            for got in (out.x, out.y):
+                assert not np.shares_memory(got, state.x) and not np.shares_memory(got, state.y)
+            assert np.array_equal(state.x, before.x) and np.array_equal(state.y, before.y)
+            if nsteps == 0:
+                assert np.array_equal(out.x, before.x) and np.array_equal(out.y, before.y)
+
     def test_stability_guard(self, pendulum, bench_state):
         # fastest frequency sqrt(2)/eps: steps above 2 eps/sqrt(2) blow up
         with pytest.raises(StabilityViolation):

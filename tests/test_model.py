@@ -290,11 +290,28 @@ class TestSpringChain:
         with pytest.raises(ValueError, match=f"spring {field} must be positive and finite"):
             make_double_pendulum(1e-2, **params)
 
+    @pytest.mark.parametrize("n_springs", [1, 2, 3])
+    def test_constant_vectors_are_read_only(self, n_springs):
+        # built once per chain; the values of the per-call arrays they
+        # replace, and a write into either fails instead of changing the
+        # chain
+        chain = make_spring_chain(n_springs, 2e-2, [1.0, 1.3, 0.8][:n_springs], [1.0, 0.7, 1.2][:n_springs])
+        x = sample_states(chain, 1, seed=39)[0].x
+        gravity = np.zeros(chain.n)
+        gravity[1::2] = 1.0
+        for got, want in ((chain.grad_slow(x), gravity), (chain.stiff_weights(), chain.alphas ** 2)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 5.0
+        assert chain.grad_slow(x) is chain.grad_slow(2.0 * x)
+        assert chain.stiff_weights() is chain.stiff_weights()
+
     @pytest.mark.parametrize("n_springs", [2, 3])
     @pytest.mark.parametrize("name", [
         "constraint", "constraint_jacobian", "constraint_hessian", "grad_stiff",
-        "hess_stiff_contract", "momentum_projector", "projection_jacobian_t",
-        "manifold_frequencies", "mode_actions",
+        "hess_stiff_contract", "project_momentum", "projection_vjp",
+        "manifold_frequencies", "mode_actions", "stiff_flow",
     ])
     def test_list_inputs(self, name, n_springs):
         # the float kernels of two springs and the chain's generic paths
@@ -310,13 +327,14 @@ class TestSpringChain:
             "constraint_hessian": (x, lam),
             "grad_stiff": (x,),
             "hess_stiff_contract": (x, y),
-            "momentum_projector": (x,),
-            "projection_jacobian_t": (x, position, lam),
+            "project_momentum": (x, y),
+            "projection_vjp": (x, position, lam, y),
             "manifold_frequencies": (position, weights),
             "mode_actions": (x, y, position, weights),
+            "stiff_flow": (x, y, 2e-4, 5),
         }[name]
         method = getattr(chain, name)
-        got = method(*[a.tolist() for a in args])
+        got = method(*[a.tolist() if isinstance(a, np.ndarray) else a for a in args])
         want = method(*args)
         for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
             assert np.array_equal(g, w)
