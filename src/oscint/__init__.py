@@ -6,7 +6,6 @@ from .diagnostics import (
     ErrorMetrics,
     TimeMismatch,
     compute_actions,
-    convexity_check,
     error_metrics,
     make_observer,
     resonance_monitor,

@@ -1,12 +1,12 @@
 """Observable quantities: mode actions, energies, frequency-separation
-monitors, the normal-direction convexity constant, and the error metrics
-used by the convergence experiments.
+monitors, and the error metrics used by the convergence experiments.
 
 An observer sample (make_observer) costs one projection, unless the
 integrator hands it in, and one call of the contract method
 mode_actions for the frequencies, modes and actions (_mode_split); the
 two-spring chain runs that call on plain floats.  action_drift reads
-the records' actions as floats too.
+the records' actions as floats too.  Only observers make records: the
+samples of effective.effective_reference carry none.
 """
 
 from __future__ import annotations
@@ -31,36 +31,18 @@ class TimeMismatch(Exception):
 
 
 class DiagnosticsRecord:
-    """Per-sample observables attached to trajectory states.
+    """Observables of one sampled state, the records of make_observer.
 
-    t and actions are plain attributes.  energy, min_gap, min_combo and
-    constraint_residual are either given to the constructor or, in a
-    record made by from_sample, computed from the sampled state and
-    frequencies when first read and then kept.
-
-    constraint_residual is max_k |c_k(x)| in the records of make_observer
-    and the larger of max_k |c_k(x)| and max_k |(G y)_k| in those of
-    effective.effective_reference, whose samples must also keep the
-    momenta tangent.
+    A record of a sampled state holds t and the actions at once.
+    energy, min_gap, min_combo and constraint_residual
+    (max_k |c_k(x)|) are computed from the sampled state and its fast
+    frequencies omegas when first read, and then kept.
     """
 
-    def __init__(self, t, energy, actions, min_gap, min_combo, constraint_residual):
-        self.t = t
-        self.energy = energy
+    def __init__(self, system, state, actions, omegas):
+        self.t = state.t
         self.actions = actions
-        self.min_gap = min_gap
-        self.min_combo = min_combo
-        self.constraint_residual = constraint_residual
-
-    @classmethod
-    def from_sample(cls, system, state, actions, omegas):
-        """Record of a sampled state with its actions and fast
-        frequencies; the other fields wait until they are read."""
-        record = cls.__new__(cls)
-        record.t = state.t
-        record.actions = actions
-        record._sample = (system, state, omegas)
-        return record
+        self._sample = (system, state, omegas)
 
     @functools.cached_property
     def energy(self):
@@ -101,22 +83,22 @@ def _mode_split(sys, x, y, pos=None):
     The position is projected onto the manifold, unless the caller
     passes that projection as pos; the offset from it, expressed in the
     orthonormal fast modes, carries the fast oscillation
-    (model.modal_actions).  With stiff_weights the frequencies, modes
-    and actions come from sys.mode_actions at pos, in one pass on plain
-    floats for the two-spring chain, and a Gram eigenvalue that is not
-    positive raises GapViolation, as in effective.manifold_frequencies.
-    A system without stiff_weights takes them from frequencies().
+    (model.modal_actions).  The frequencies, modes and actions come from
+    sys.mode_actions at pos with the model's stiff_weights, in one pass
+    on plain floats for the two-spring chain, and a Gram eigenvalue that
+    is not positive raises GapViolation, as in
+    effective.manifold_frequencies.  A system with m = 0 has no fast
+    modes: its frequencies and actions are empty.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if pos is None:
         pos = project_to_manifold(sys, x).position
-    weights = sys.stiff_weights()
-    if weights is None or sys.m == 0:
+    if sys.m == 0:
         fset = frequencies(sys, pos)
         return pos, fset, modal_actions(sys.epsilon, *fset, x, y, pos)
     try:
-        omegas, vectors, actions = sys.mode_actions(x, y, pos, weights)
+        omegas, vectors, actions = sys.mode_actions(x, y, pos, sys.stiff_weights())
     except smallmat.NotPositiveDefinite as exc:
         raise GapViolation(str(exc)) from exc
     return pos, FrequencySet(omegas, vectors), actions
@@ -151,13 +133,6 @@ def resonance_monitor(omegas):
     return min_gap, min_combo
 
 
-def convexity_check(sys: OscillatorySystem, x) -> float:
-    """Smallest squared fast frequency: the best convexity constant of
-    the stiff potential along constraint-normal directions."""
-    om = frequencies(sys, x).omegas
-    return float(om[0] ** 2)
-
-
 def make_observer(sys: OscillatorySystem):
     """Observer producing a DiagnosticsRecord per sampled state.
 
@@ -166,12 +141,12 @@ def make_observer(sys: OscillatorySystem):
     None (the default) makes the observer project itself.
     A record computes t and the actions at once; energy, min_gap,
     min_combo and constraint_residual are computed from the sampled
-    state and frequencies when first read (DiagnosticsRecord.from_sample).
+    state and frequencies when first read (DiagnosticsRecord).
     """
 
     def observer(system, state: State, position=None) -> DiagnosticsRecord:
         _, fset, actions = _mode_split(system, state.x, state.y, position)
-        return DiagnosticsRecord.from_sample(system, state, actions, fset.omegas)
+        return DiagnosticsRecord(system, state, actions, fset.omegas)
 
     return observer
 

@@ -74,14 +74,13 @@ def manifold_frequencies(sys: OscillatorySystem, x) -> FrequencySet:
     Off the manifold the result differs from frequencies() by O(|c|).
     The pairs come from sys.manifold_frequencies, on plain floats for
     the two-spring chain.  Raises GapViolation when the smallest
-    eigenvalue of S is not positive (G lost rank).  A system without
-    stiff_weights falls back to the full Hessian, frequencies().
+    eigenvalue of S is not positive (G lost rank).  A system with
+    m = 0 has no fast frequencies.
     """
-    weights = sys.stiff_weights()
-    if weights is None or sys.m == 0:
+    if sys.m == 0:
         return frequencies(sys, x)
     try:
-        return FrequencySet(*sys.manifold_frequencies(x, weights))
+        return FrequencySet(*sys.manifold_frequencies(x, sys.stiff_weights()))
     except smallmat.NotPositiveDefinite as exc:
         raise GapViolation(str(exc)) from exc
 
@@ -113,11 +112,7 @@ def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
 
 def effective_energy(sys: OscillatorySystem, state: State, actions) -> float:
     """1/2 y^T y + slow(x) + sum_k I_k omega_k(x), x on the manifold."""
-    return _energy_at(sys, state, actions, manifold_frequencies(sys, state.x).omegas)
-
-
-def _energy_at(sys, state, actions, omegas):
-    """effective_energy with the frequencies omega_k(state.x) given."""
+    omegas = manifold_frequencies(sys, state.x).omegas
     kinetic = 0.5 * float(state.y @ state.y)
     return kinetic + sys.slow_potential(state.x) + float(actions @ omegas)
 
@@ -171,41 +166,23 @@ def effective_reference(
     h_ref: float,
     t_end: float,
     stride: int = 1,
-    with_records: bool = True,
 ) -> Trajectory:
     """Reference trajectory of the constrained effective dynamics.
 
     Projects (x0, y0) to consistent data, fixes the actions from the
-    raw initial state (the step and the records hold them; the samples
-    are plain States), then runs the constrained leapfrog from t = 0 to
-    t_end, sampling, checking its input and reporting a failing step as
-    integrators.integrate does.
-    Sample records carry the effective energy and, as
-    constraint_residual, the larger of the position and momentum
-    residuals of constraint_residuals.
+    raw initial state (the step holds them), then runs the constrained
+    leapfrog from t = 0 to t_end, sampling, checking its input and
+    reporting a failing step as integrators.integrate does.  The samples
+    carry no records, as integrate's without an observer; the
+    reference's health comes from its sampled states
+    (effective_energy, constraint_residuals).
     """
-    from .diagnostics import DiagnosticsRecord, compute_actions, resonance_monitor
+    from .diagnostics import compute_actions
 
     actions = compute_actions(sys, x0, y0)
     xc, yc = consistent_state(sys, x0, y0)
 
-    def record(_, st, position):
-        om = manifold_frequencies(sys, st.x).omegas
-        gap, combo = resonance_monitor(om)
-        pos_res, mom_res = constraint_residuals(sys, st)
-        return DiagnosticsRecord(
-            t=st.t,
-            energy=_energy_at(sys, st, actions, om),
-            actions=actions.copy(),
-            min_gap=gap,
-            min_combo=combo,
-            constraint_residual=max(pos_res, mom_res),
-        )
-
     def step(state, force, count):
         return (*_rattle_step_cached(sys, state, actions, h_ref, force), None)
 
-    return _sampled_run(
-        sys, State(xc, yc, 0.0), step, h_ref, t_end, stride,
-        record if with_records else None, "reference",
-    )
+    return _sampled_run(sys, State(xc, yc, 0.0), step, h_ref, t_end, stride, None, "reference")

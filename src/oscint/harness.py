@@ -243,10 +243,8 @@ def _reference_and_guard(sys, s0, h_ref, t_end):
     """Reference trajectory at h_ref, and the largest change of its
     positions when h_ref is halved, at their shared sample times (the
     clock puts every second half step exactly on a reference time)."""
-    ref = effective.effective_reference(sys, s0.x, s0.y, h_ref, t_end, with_records=False)
-    half = effective.effective_reference(
-        sys, s0.x, s0.y, 0.5 * h_ref, t_end, stride=2, with_records=False
-    )
+    ref = effective.effective_reference(sys, s0.x, s0.y, h_ref, t_end)
+    half = effective.effective_reference(sys, s0.x, s0.y, 0.5 * h_ref, t_end, stride=2)
     if not np.array_equal(ref.t, half.t):
         raise diagnostics.TimeMismatch("reference and half-step sample times differ")
     return ref, float(np.max(np.abs(half.x - ref.x)))

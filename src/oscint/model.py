@@ -57,13 +57,12 @@ class OscillatorySystem:
 
     The mass matrix is the identity (see the module docstring).
     Subclasses provide slow_potential, grad_slow,
-    stiff_potential, grad_stiff, hess_stiff, constraint and
-    constraint_jacobian.  All evaluators must be pure.  stiff_flow,
-    stiff_eig_bound, hess_stiff_contract, constraint_hessian,
-    project_position, project_momentum, projection_vjp,
-    manifold_frequencies and mode_actions have generic defaults; a model
-    may override them with faster or exact versions.
-    stiff_weights is optional as well.
+    stiff_potential, grad_stiff, hess_stiff, constraint,
+    constraint_jacobian and, for m > 0, stiff_weights.  All evaluators
+    must be pure.  stiff_flow, stiff_eig_bound, hess_stiff_contract,
+    constraint_hessian, project_position, project_momentum,
+    projection_vjp, manifold_frequencies and mode_actions have generic
+    defaults; a model may override them with faster or exact versions.
     """
 
     n: int
@@ -94,11 +93,10 @@ class OscillatorySystem:
     def stiff_weights(self):
         """Weights K_k of the stiff potential written in the constraints,
         stiff(x) = 1/2 sum_k K_k constraint(x)_k^2, as a vector of m
-        positive entries; None (the default) when the model does not
-        declare that form.  They let frequencies on the manifold come
+        positive entries.  They let frequencies on the manifold come
         from an m x m eigenproblem (effective.manifold_frequencies).
         """
-        return None
+        raise NotImplementedError
 
     def stiff_eig_bound(self, x) -> float:
         """An upper bound on the largest eigenvalue of hess_stiff(x).

@@ -69,7 +69,7 @@ def sweep_reference():
     """Constrained reference for the sweep's epsilon over [0, 10]."""
     sys = make_double_pendulum(EPS_SWEEP)
     s0 = benchmark_initial_state(EPS_SWEEP)
-    return effective.effective_reference(sys, s0.x, s0.y, 1e-3, 10.0, with_records=False)
+    return effective.effective_reference(sys, s0.x, s0.y, 1e-3, 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ def fine_flow():
         sys = make_double_pendulum(eps)
         s0 = benchmark_initial_state(eps)
         observer = diagnostics.make_observer(sys)
-        ref = effective.effective_reference(sys, s0.x, s0.y, 1e-3, 10.0, with_records=False)
+        ref = effective.effective_reference(sys, s0.x, s0.y, 1e-3, 10.0)
         h_micro = eps / 100
         nsteps = int(round(10.0 / h_micro))
         micro = integrators.integrate_micro(

@@ -1,5 +1,6 @@
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from oscint import (
     benchmark_initial_state,
     compute_actions,
-    convexity_check,
     error_metrics,
     frequencies,
     make_double_pendulum,
@@ -23,7 +23,7 @@ from oscint.model import DomainError, OscillatorySystem, State, hamiltonian
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
 from test_geometry import assert_same_failure_of, outcome
-from test_mass_metric import Scaled, Weighted, orthogonal
+from test_mass_metric import Scaled, orthogonal
 
 LAZY_FIELDS = ("energy", "min_gap", "min_combo", "constraint_residual")
 
@@ -148,28 +148,6 @@ class TestResonanceMonitor:
         gap, combo = resonance_monitor([1.0, 2.0, 3.0])
         assert gap == pytest.approx(1.0)
         assert combo == pytest.approx(0.0, abs=1e-15)
-
-
-class TestConvexityCheck:
-    def test_double_pendulum_initial_configuration(self, pendulum):
-        s = math.sqrt(0.5)
-        x = np.array([s, -s, math.sqrt(2.0), 0.0])
-        assert convexity_check(pendulum, x) == pytest.approx(1.0, abs=1e-10)
-
-    def test_single_pendulum_spring_constant(self):
-        alpha = 1.9
-        sys = make_spring_chain(1, 1e-2, [alpha], [1.0])
-        x = np.array([0.0, -1.0])
-        assert convexity_check(sys, x) == pytest.approx(alpha ** 2, abs=1e-10)
-
-    def test_positive_along_reference(self, pendulum, bench_state):
-        from oscint import effective_reference
-
-        traj = effective_reference(
-            pendulum, bench_state.x, bench_state.y, 1e-3, 1.0, stride=100
-        )
-        for x in traj.x:
-            assert convexity_check(pendulum, x) > 0.0
 
 
 class TestErrorMetrics:
@@ -334,7 +312,10 @@ def np_action_drift(records):
 
 def action_records(*actions):
     return [
-        diagnostics.DiagnosticsRecord(float(t), 0.0, np.array(a, dtype=float), 0.0, 0.0, 0.0)
+        SimpleNamespace(
+            t=float(t), energy=0.0, actions=np.array(a, dtype=float),
+            min_gap=0.0, min_combo=0.0, constraint_residual=0.0,
+        )
         for t, a in enumerate(actions)
     ]
 
@@ -419,14 +400,11 @@ class TestModeActionsKernel:
         chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
         start = random_bounded_energy_states(chain, 1, seed=652)[0]
         compute_actions(chain, start.x, start.y)
-        # Scaled declares no stiff weights and takes frequencies();
-        # Weighted declares them and runs the default
         s = orthogonal(4, seed=652)
         state = random_bounded_energy_states(pendulum, 1, seed=652)[0]
         x = np.linalg.inv(s) @ state.x
         compute_actions(Scaled(pendulum, s), x, state.y)
-        compute_actions(Weighted(pendulum, s), x, state.y)
-        assert calls == ["StiffSpringChain", "Weighted"]
+        assert calls == ["StiffSpringChain", "Scaled"]
         compute_actions(pendulum, state.x, state.y)
         assert len(calls) == 2
 

@@ -15,8 +15,10 @@ from oscint import (
     grad_frequencies,
     make_double_pendulum,
     make_spring_chain,
+    make_observer,
     manifold_frequencies,
     rattle_step,
+    resonance_monitor,
 )
 from oscint import effective
 from oscint.effective import (
@@ -31,7 +33,8 @@ from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
 from conftest import fd_grad_frequencies, np_rattle_step, sample_states
 from test_geometry import assert_same_failure_of, outcome
-from test_mass_metric import Scaled, Weighted, orthogonal
+from test_integrators import FreeSlowSystem, harmonic_1d
+from test_mass_metric import Scaled, orthogonal
 
 
 def on_manifold_config():
@@ -71,18 +74,6 @@ class TestManifoldFrequencies:
         assert np.max(np.abs(fset.omegas - [1.0, math.sqrt(2.0)])) <= 1e-12
         assert np.max(np.abs(fset.vectors.T @ fset.vectors - np.eye(2))) <= 1e-14
 
-    def test_without_weights_is_the_full_pencil(self, pendulum):
-        class Unweighted(type(pendulum)):
-            def stiff_weights(self):
-                return None
-
-        sys = Unweighted(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
-        x = _bent_config(0.3, 1.2)
-        got = manifold_frequencies(sys, x)
-        want = frequencies(pendulum, x)
-        assert np.array_equal(got.omegas, want.omegas)
-        assert np.array_equal(got.vectors, want.vectors)
-
     def test_gap_violation_on_a_singular_gram_matrix(self, pendulum):
         # a zero weight leaves S a zero row and column: eigenvalue 0
         class Degenerate(type(pendulum)):
@@ -92,6 +83,38 @@ class TestManifoldFrequencies:
         sys = Degenerate(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
         with pytest.raises(GapViolation, match="not positive"):
             manifold_frequencies(sys, on_manifold_config())
+
+
+class TestStiffWeightsRequired:
+    """stiff_weights is a required contract method for m > 0; a model
+    with m = 0 has no fast modes and never calls it."""
+
+    class Unweighted(Scaled):
+        stiff_weights = OscillatorySystem.stiff_weights
+
+    def test_unweighted_model_raises(self, pendulum):
+        sys = self.Unweighted(pendulum, orthogonal(4, seed=660))
+        state = State(*sys.to_scaled(on_manifold_config(), np.array([0.1, 0.2, -0.3, 0.4])))
+        observer = make_observer(sys)
+        for call in (
+            lambda: manifold_frequencies(sys, state.x),
+            lambda: grad_frequencies(sys, state.x),
+            lambda: observer(sys, state),
+            lambda: observer(sys, state, state.x),
+        ):
+            with pytest.raises(NotImplementedError):
+                call()
+
+    @pytest.mark.parametrize("make", [FreeSlowSystem, harmonic_1d])
+    def test_no_constraints_no_fast_modes(self, make):
+        sys = make()
+        state = State(np.linspace(0.5, 1.0, sys.n), np.linspace(-0.2, 0.3, sys.n), 0.25)
+        fset = manifold_frequencies(sys, state.x)
+        assert fset.omegas.shape == (0,) and fset.vectors.shape == (sys.n, 0)
+        assert grad_frequencies(sys, state.x).shape == (0, sys.n)
+        assert compute_actions(sys, state.x, state.y).shape == (0,)
+        record = make_observer(sys)(sys, state)
+        assert record.t == 0.25 and record.actions.shape == (0,)
 
 
 class TestManifoldFrequenciesKernel:
@@ -158,13 +181,10 @@ class TestManifoldFrequenciesKernel:
             make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2]),
         ):
             manifold_frequencies(sys, sample_states(sys, 1, seed=641)[0].x)
-        # Scaled declares no stiff weights and takes the full Hessian;
-        # Weighted declares them and runs the default
         s = orthogonal(4, seed=640)
         x = np.linalg.inv(s) @ on_manifold_config()
         manifold_frequencies(Scaled(pendulum, s), x)
-        manifold_frequencies(Weighted(pendulum, s), x)
-        assert calls == ["StiffSpringChain", "StiffSpringChain", "Weighted"]
+        assert calls == ["StiffSpringChain", "StiffSpringChain", "Scaled"]
         manifold_frequencies(pendulum, on_manifold_config())
         assert len(calls) == 3
 
@@ -374,8 +394,7 @@ class TestEffectiveReference:
         # consistent data: the correction force vanishes identically
         x0 = on_manifold_config()
         traj = effective_reference(pendulum, x0, np.zeros(4), 1e-3, 0.2)
-        rec = traj.records[0]
-        assert np.max(np.abs(rec.actions)) <= 1e-10
+        assert np.max(np.abs(compute_actions(pendulum, x0, np.zeros(4)))) <= 1e-10
         # rerun with the correction force forcibly disabled
         es = State(*consistent_state(pendulum, x0, np.zeros(4)))
         for _ in range(200):
@@ -427,24 +446,23 @@ class TestEffectiveReference:
         assert np.array_equal(got.t, clean.t[:3])
         assert np.array_equal(got.x, clean.x[:3])
         assert np.array_equal(got.y, clean.y[:3])
-        fields = ("t", "energy", "min_gap", "min_combo", "constraint_residual")
-        for a, b in zip(got.records, clean.records[:3], strict=True):
-            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-            assert np.array_equal(a.actions, b.actions)
+        assert got.records == clean.records[:3] == [None] * 3
 
-    def test_record_energy_is_effective_energy(self, pendulum, bench_state):
+    def test_samples_carry_no_records(self, pendulum, bench_state):
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-2, 0.2, stride=5)
-        for x, y, rec in zip(traj.x, traj.y, traj.records):
-            assert rec.energy == effective_energy(pendulum, State(x, y), rec.actions)
+        assert traj.records == [None] * len(traj.t) == [None] * 5
 
     def test_energy_conserved_and_frequencies_separated(self, pendulum, bench_state):
+        # the reference's health, computed from its sampled states
         traj = effective_reference(pendulum, bench_state.x, bench_state.y, 1e-3, 10.0, stride=10)
-        recs = traj.records
-        e0 = recs[0].energy
-        drift = max(abs(r.energy - e0) for r in recs)
+        actions = compute_actions(pendulum, bench_state.x, bench_state.y)
+        states = [State(x, y, t) for t, x, y in zip(traj.t, traj.x, traj.y)]
+        energies = [effective_energy(pendulum, st, actions) for st in states]
+        drift = max(abs(e - energies[0]) for e in energies)
         assert drift <= 1e-4  # no secular drift at h_ref^2 scale
-        assert min(r.min_gap for r in recs) >= 0.2
-        assert max(r.constraint_residual for r in recs) <= 1e-10
+        gaps = [resonance_monitor(manifold_frequencies(pendulum, st.x).omegas)[0] for st in states]
+        assert min(gaps) >= 0.2
+        assert max(max(constraint_residuals(pendulum, st)) for st in states) <= 1e-10
 
     def test_model_accuracy_scales_with_epsilon(self):
         # reference-vs-exact distance halves when epsilon halves
@@ -456,7 +474,7 @@ class TestEffectiveReference:
         for eps in (1e-2, 5e-3):
             sys = make_double_pendulum(eps)
             s0 = benchmark_initial_state(eps)
-            ref = effective_reference(sys, s0.x, s0.y, 1e-3, 2.0, with_records=False)
+            ref = effective_reference(sys, s0.x, s0.y, 1e-3, 2.0)
             h_micro = eps / 100
             n = int(round(2.0 / h_micro))
             micro = integrate_micro(sys, s0, h_micro, n, sample_stride=max(1, n // 200))

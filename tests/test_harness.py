@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class TestReferenceGuard:
         sys = model.make_double_pendulum(eps)
         s0 = model.benchmark_initial_state(eps)
         ref, guard = harness._reference_and_guard(sys, s0, 1e-3, t_end)
-        half = effective.effective_reference(sys, s0.x, s0.y, 5e-4, t_end, with_records=False)
+        half = effective.effective_reference(sys, s0.x, s0.y, 5e-4, t_end)
         assert np.array_equal(half.t[::2], ref.t)
         assert guard == diagnostics.error_metrics(ref, half, sys).max_err_x
 
@@ -423,7 +424,7 @@ def eager_observer(_):
         _, fset, actions = diagnostics._mode_split(system, state.x, state.y, position)
         gap, combo = diagnostics.resonance_monitor(fset.omegas)
         residual = float(np.max(np.abs(system.constraint(state.x)))) if system.m else 0.0
-        return diagnostics.DiagnosticsRecord(
+        return SimpleNamespace(
             t=state.t, energy=model.hamiltonian(system, state), actions=actions,
             min_gap=gap, min_combo=combo, constraint_residual=residual,
         )
