@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics, effective, geometry, integrators, model, smallmat
+from . import diagnostics, effective, geometry, integrators, model, native, smallmat
 from .integrators import MacroMethod, integrate
 from .model import State
 
@@ -453,6 +453,22 @@ def _check_reversibility(kind, eps=1e-2, h=0.01, nsteps=100):
     )
 
 
+def _native_stiff_flow_agreement(count=10):
+    """Fraction of seeded (start, nsteps) cases in which the two-spring
+    chain's stiff_flow (the native kernel when it loaded) equals the
+    generic numpy loop bit for bit, at two stiffnesses."""
+    same = total = 0
+    for sys in (model.make_double_pendulum(1e-3), model.make_double_pendulum(2e-2, 1.3, 0.7, 1.1, 0.9)):
+        h_micro = sys.epsilon / 50
+        for st in random_bounded_energy_states(sys, count, seed=79):
+            for nsteps in (0, 1, 2, 50, 781):
+                got = sys.stiff_flow(st.x, st.y, h_micro, nsteps)
+                want = model.OscillatorySystem.stiff_flow(sys, st.x, st.y, h_micro, nsteps)
+                same += bool(np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]))
+                total += 1
+    return same / total
+
+
 CHECK_NAMES = (
     "cholesky_reconstruction",
     "sym_eig_2x2_closed_form",
@@ -465,6 +481,7 @@ CHECK_NAMES = (
     "reversibility_projected",
     "reversibility_mollified",
     "reference_convergence",
+    "native_stiff_flow",
 )
 
 
@@ -517,6 +534,8 @@ def run_check(inject_fault: Optional[str] = None):
     )
     add_le("reference_convergence", guard, 1e-4)
 
+    add_window("native_stiff_flow", _native_stiff_flow_agreement(), 1.0, 1.0)
+
     assert [r.name for r in results] == list(CHECK_NAMES)
     return results, all(r.passed for r in results)
 
@@ -525,6 +544,7 @@ def print_check_report(results, stream=None):
     stream = stream or _sys.stdout
     for res in results:
         print(res.describe(), file=stream)
+    print(f"two-spring stiff_flow path: {native.status()}", file=stream)
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed",

@@ -4,10 +4,10 @@ The micro level is the leapfrog model.leapfrog, in its merged-kick
 (Stoermer-Verlet) form: one kick per step, half kicks only at the ends
 of a call.  The fast-flow solver runs it with the slow force switched
 off.  That stiff sub-flow goes through the system's stiff_flow, which
-the two-spring chain overrides with a bit-identical loop on plain
-floats: on vectors of four entries numpy's per-call overhead, not
-arithmetic, sets the cost of a micro step.  stormer_verlet stays the
-single entry point and runs the micro stability guard on every call.
+the two-spring chain runs in a C kernel (oscint.native, compiled on
+first use) with results bit-identical to the generic loop, and in the
+generic loop itself when no kernel can be built.  stormer_verlet stays
+the single entry point and runs the micro stability guard on every call.
 The guard takes the model's stiff_eig_bound, which for the spring chain
 is a constant, and runs an eigensolve only when that bound does not
 clear the step.

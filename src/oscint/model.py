@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import smallmat
+from . import native, smallmat
 
 
 class DomainError(Exception):
@@ -234,7 +234,10 @@ class OscillatorySystem:
         nsteps micro steps of h_micro; returns the new (x, y).
 
         An override must reproduce this loop bit for bit and raise
-        DomainError at every step where grad_stiff would.
+        DomainError at every step where grad_stiff would: the same
+        floating-point operations in the same order, with grad_stiff's
+        own square roots and norms (the two-spring chain's C kernel
+        carries a port of CPython's math.hypot for that reason).
         """
         return leapfrog(self.grad_stiff, -(1.0 / self.epsilon ** 2), x, y, h_micro, nsteps)
 
@@ -747,56 +750,22 @@ class StiffSpringChain(OscillatorySystem):
         ])
 
     def stiff_flow(self, x, y, h_micro, nsteps):
-        """For two springs, the generic leapfrog unrolled on floats: same
-        operations in the same order as grad_stiff and leapfrog, so the
-        result is bit-identical.  The opening force and half kick come
-        before the loop; each pass runs drift, force, kick, with the
-        kick coefficient half on the last pass.  Other chains run the
-        generic loop."""
-        if self.m != 2:
+        """For two springs, the C kernel of native.pair_flow: the generic
+        loop's operations in the same order, with CPython's math.hypot, so
+        the result is bit-identical.  Other chains, and every chain when
+        no kernel could be built, run the generic loop."""
+        flow = native.pair_flow() if self.m == 2 else None
+        if flow is None:
             return super().stiff_flow(x, y, h_micro, nsteps)
-        a1, a2 = self._a2
-        l1, l2 = self._len
         kick = -(1.0 / self.epsilon ** 2) * h_micro
-        half = 0.5 * kick
-        hypot = math.hypot
-        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
-        y0, y1, y2, y3 = np.asarray(y, dtype=float).tolist()
-        r1, d0, d1, r2 = _pair_segments(x0, x1, x2, x3)
-        c1 = a1 * (r1 - l1) / r1
-        c2 = a2 * (r2 - l2) / r2
-        if nsteps == 0:
-            return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
-        e0 = c2 * d0
-        e1 = c2 * d1
-        y0 = y0 + half * (c1 * x0 - e0)
-        y1 = y1 + half * (c1 * x1 - e1)
-        y2 = y2 + half * e0
-        y3 = y3 + half * e1
-        for k in [kick] * (nsteps - 1) + [half]:
-            x0 = x0 + h_micro * y0
-            x1 = x1 + h_micro * y1
-            x2 = x2 + h_micro * y2
-            x3 = x3 + h_micro * y3
-            # _pair_segments written out: a call per micro step would cost
-            # a good share of the step (0.78 us on a shared 2-core x86-64)
-            r1 = hypot(x0, x1)
-            if r1 < _MIN_SPRING_LENGTH:
-                raise _collapsed(0, r1)
-            d0 = x2 - x0
-            d1 = x3 - x1
-            r2 = hypot(d0, d1)
-            if r2 < _MIN_SPRING_LENGTH:
-                raise _collapsed(1, r2)
-            c1 = a1 * (r1 - l1) / r1
-            c2 = a2 * (r2 - l2) / r2
-            e0 = c2 * d0
-            e1 = c2 * d1
-            y0 = y0 + k * (c1 * x0 - e0)
-            y1 = y1 + k * (c1 * x1 - e1)
-            y2 = y2 + k * e0
-            y3 = y3 + k * e1
-        return np.array([x0, x1, x2, x3]), np.array([y0, y1, y2, y3])
+        state = native.PairState.from_buffer_copy(native.PAIR_ARGS.pack(
+            *np.asarray(x, dtype=float).tolist(), *np.asarray(y, dtype=float).tolist(),
+            *self._a2, *self._len, kick, 0.5 * kick, h_micro, _MIN_SPRING_LENGTH,
+        ))
+        k = flow(state, nsteps)
+        if k >= 0:
+            raise _collapsed(k, state[8])
+        return np.array(state[0:4]), np.array(state[4:8])
 
 
 def make_double_pendulum(epsilon, alpha1=1.0, alpha2=1.0, l1=1.0, l2=1.0):

@@ -14,6 +14,15 @@ from oscint.smallmat import NotPositiveDefinite, SingularMatrix, newton_solve, s
 from oscint.harness import random_bounded_energy_states as sample_states  # noqa: F401
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """The native stiff-flow kernel is built into this session's own
+    cache directory, not the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture
 def pendulum():
     return make_double_pendulum(1e-2)

@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oscint import (
 )
 from oscint.integrators import METHOD_KINDS, IntegrationError, MacroMethod, StabilityViolation
 from oscint.harness import random_bounded_energy_states
+from oscint import native
 from oscint.model import OscillatorySystem, State, StiffSpringChain
 
 
@@ -307,6 +309,16 @@ def kernel_systems():
 
 
 class TestStiffFlowKernels:
+    def test_native_kernel_is_under_test(self):
+        # the bit-identity tests below compare the two-spring chain's own
+        # path with the generic loop: without the native kernel they would
+        # compare the generic loop with itself
+        compiler = native.compiler()[0]
+        if shutil.which(compiler) is None:
+            pytest.skip(f"no C compiler {compiler!r} found: the chain runs the generic loop")
+        assert native.pair_flow() is not None, native.status()
+        assert native.status().startswith("native kernel")
+
     @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 391])
     def test_kernels_match_generic_loop_bitwise(self, nsteps):
         for sys in kernel_systems():
