@@ -2,95 +2,15 @@
  *
  * oscint_pair_flow repeats StiffSpringChain's generic stiff_flow
  * (model.leapfrog over grad_stiff) operation for operation, so its
- * results are bit-identical to the numpy loop.  oscint_hypot is CPython's
- * two-argument math.hypot (vector_norm in Modules/mathmodule.c) for the
- * interpreter this file is compiled for: PY_MINOR < 12 selects the
- * Veltkamp-split form of 3.10 and 3.11, otherwise the fma form of 3.12 on.
+ * results are bit-identical to the numpy loop.  Each spring length is
+ * sqrt(d0 * d0 + d1 * d1), the expression the Python evaluators write:
+ * IEEE 754 rounds each product, the sum and the square root correctly,
+ * so both sides give the same bits on any interpreter.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
- * multiply-add anywhere else would change the last bits.
+ * multiply-add anywhere would change the last bits.
  */
-#include <float.h>
 #include <math.h>
-
-#ifndef PY_MINOR
-#error "compile with -DPY_MINOR=<the interpreter's minor version>"
-#endif
-
-/* csum += t with its rounding error added to frac; needs |csum| >= |t| */
-static void fast_sum(double *csum, double *frac, double t)
-{
-    double old = *csum;
-    *csum += t;
-    *frac += (old - *csum) + t;
-}
-
-double oscint_hypot(double x, double y)
-{
-    double max, scale, h, t, csum = 1.0, frac1 = 0.0, frac2 = 0.0;
-    double vec[2];
-    int i, max_e;
-
-    x = fabs(x);
-    y = fabs(y);
-    if (isinf(x) || isinf(y))
-        return INFINITY;
-    if (isnan(x) || isnan(y))
-        return NAN;
-    max = x > y ? x : y;
-    if (max == 0.0)
-        return max;
-    vec[0] = x;
-    vec[1] = y;
-    frexp(max, &max_e);
-#if PY_MINOR < 12
-    {
-        const double T27 = 134217729.0;  /* 2**27 + 1 */
-        double hi, lo, frac3 = 0.0;
-        if (max_e < -1023) {  /* ldexp(1.0, -max_e) would overflow: divide by max */
-            for (i = 0; i < 2; i++) {
-                t = vec[i] / max;
-                fast_sum(&csum, &frac1, t * t);
-            }
-            return max * sqrt(csum - 1.0 + frac1);
-        }
-        scale = ldexp(1.0, -max_e);
-        for (i = 0; i < 2; i++) {
-            t = vec[i] * scale;  /* lossless scaling into [0.5, 1) */
-            h = t * T27;         /* Veltkamp split: hi * hi and hi * lo are exact */
-            hi = h - (h - t);
-            lo = t - hi;
-            fast_sum(&csum, &frac1, hi * hi);
-            fast_sum(&csum, &frac2, 2.0 * hi * lo);
-            frac3 += lo * lo;
-        }
-        h = sqrt(csum - 1.0 + (frac1 + frac2 + frac3));
-        t = h * T27;
-        hi = t - (t - h);
-        lo = h - hi;
-        fast_sum(&csum, &frac1, -hi * hi);
-        fast_sum(&csum, &frac2, -2.0 * hi * lo);
-        fast_sum(&csum, &frac3, -lo * lo);
-        t = csum - 1.0 + (frac1 + frac2 + frac3);
-        return (h + t / (2.0 * h)) / scale;  /* differential correction */
-    }
-#else
-    if (max_e < -1023)  /* ldexp(1.0, -max_e) would overflow: subnormals to normals */
-        return DBL_MIN * oscint_hypot(x / DBL_MIN, y / DBL_MIN);
-    scale = ldexp(1.0, -max_e);
-    for (i = 0; i < 2; i++) {
-        t = vec[i] * scale;              /* lossless scaling into [0.5, 1) */
-        frac1 += fma(t, t, -(t * t));    /* t * t is exact as a sum of two */
-        fast_sum(&csum, &frac2, t * t);
-    }
-    h = sqrt(csum - 1.0 + (frac1 + frac2));
-    frac1 += fma(-h, h, -(-h * h));
-    fast_sum(&csum, &frac2, -h * h);
-    t = csum - 1.0 + (frac1 + frac2);
-    h += t / (2.0 * h);  /* differential correction */
-    return h / scale;
-#endif
-}
 
 /* s[0:4] = x, s[4:8] = y, s[8:15] = (a1, a2, l1, l2, kick, half,
  * h_micro), s[15] = the shortest admissible spring.  Runs nsteps micro
@@ -117,14 +37,14 @@ int oscint_pair_flow(double *s, long nsteps)
             x2 = x2 + h * y2;
             x3 = x3 + h * y3;
         }
-        r1 = oscint_hypot(x0, x1);
+        r1 = sqrt(x0 * x0 + x1 * x1);
         if (r1 < rmin) {
             s[8] = r1;
             return 0;
         }
         d0 = x2 - x0;
         d1 = x3 - x1;
-        r2 = oscint_hypot(d0, d1);
+        r2 = sqrt(d0 * d0 + d1 * d1);
         if (r2 < rmin) {
             s[8] = r2;
             return 1;

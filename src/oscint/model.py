@@ -236,8 +236,8 @@ class OscillatorySystem:
         An override must reproduce this loop bit for bit and raise
         DomainError at every step where grad_stiff would: the same
         floating-point operations in the same order, with grad_stiff's
-        own square roots and norms (the two-spring chain's C kernel
-        carries a port of CPython's math.hypot for that reason).
+        own expressions (the two-spring chain's C kernel computes each
+        spring length as sqrt(d0 * d0 + d1 * d1), as grad_stiff does).
         """
         return leapfrog(self.grad_stiff, -(1.0 / self.epsilon ** 2), x, y, h_micro, nsteps)
 
@@ -362,12 +362,12 @@ def _pair_segments(x0, x1, x2, x3):
     """(r1, d0, d1, r2) of the two-spring chain at x: the first
     segment's length, the second segment and its length; DomainError
     when either spring has collapsed."""
-    r1 = math.hypot(x0, x1)
+    r1 = math.sqrt(x0 * x0 + x1 * x1)
     if r1 < _MIN_SPRING_LENGTH:
         raise _collapsed(0, r1)
     d0 = x2 - x0
     d1 = x3 - x1
-    r2 = math.hypot(d0, d1)
+    r2 = math.sqrt(d0 * d0 + d1 * d1)
     if r2 < _MIN_SPRING_LENGTH:
         raise _collapsed(1, r2)
     return r1, d0, d1, r2
@@ -476,7 +476,7 @@ class StiffSpringChain(OscillatorySystem):
             qx, qy = xs[2 * k], xs[2 * k + 1]
             d0 = qx - px
             d1 = qy - py
-            r = math.hypot(d0, d1)
+            r = math.sqrt(d0 * d0 + d1 * d1)
             if r < _MIN_SPRING_LENGTH:
                 raise _collapsed(k, r)
             segs.append((d0, d1, r))
@@ -751,9 +751,10 @@ class StiffSpringChain(OscillatorySystem):
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the C kernel of native.pair_flow: the generic
-        loop's operations in the same order, with CPython's math.hypot, so
-        the result is bit-identical.  Other chains, and every chain when
-        no kernel could be built, run the generic loop."""
+        loop's operations in the same order, each spring length the same
+        sqrt(d0 * d0 + d1 * d1), so the result is bit-identical.  Other
+        chains, and every chain when no kernel could be built, run the
+        generic loop."""
         flow = native.pair_flow() if self.m == 2 else None
         if flow is None:
             return super().stiff_flow(x, y, h_micro, nsteps)

@@ -1,13 +1,15 @@
 """The C kernel of the two-spring chain's micro steps, built on first use.
 
-_flow.c ships with the package.  The first two-spring stiff_flow call
-compiles it with the C compiler (CC, else cc) into the cache directory
-(XDG_CACHE_HOME/oscint, else ~/.cache/oscint) under a name keyed on the
-source, the flags, the compiler and the interpreter, and loads it with
-ctypes; later processes load the cached library.  A library is written
-under a temporary name and moved into place, so processes building at
-once each load a complete one.  When the cache cannot be written the
-library goes to a temporary directory of this process.
+_flow.c ships with the package.  It evaluates the same IEEE 754
+expressions as the Python code, so the library does not depend on the
+interpreter.  The first two-spring stiff_flow call compiles it with the
+C compiler (CC, else cc) into the cache directory (XDG_CACHE_HOME/oscint,
+else ~/.cache/oscint) under a name keyed on the source, the flags and
+the compiler, and loads it with ctypes; later processes load the cached
+library.  A library is written under a temporary name and moved into
+place, so processes building at once each load a complete one.  When
+the cache cannot be written the library goes to a temporary directory
+of this process.
 
 Each process tries once.  When no library can be built or loaded,
 pair_flow returns None, status() says why, and the chain runs the
@@ -22,15 +24,11 @@ import ctypes
 import os
 import shutil
 import struct
-import sys
 import tempfile
 import zlib
 from importlib import resources
 
-FLAGS = (
-    "-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared",
-    f"-DPY_MINOR={sys.version_info.minor}",  # which CPython math.hypot to port
-)
+FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
 # oscint_pair_flow's argument: x, y, (a1, a2, l1, l2, kick, half, h_micro)
@@ -86,9 +84,7 @@ def _load():
     source = resources.files(__package__).joinpath("_flow.c").read_bytes()
     stat = os.stat(exe)  # the compiler binary stands for its version and target
     # zlib, not hashlib: its OpenSSL would add about 3 MB to the resident set
-    key = repr((
-        source, FLAGS, command, exe, stat.st_size, stat.st_mtime_ns, sys.implementation.cache_tag,
-    )).encode()
+    key = repr((source, FLAGS, command, exe, stat.st_size, stat.st_mtime_ns)).encode()
     name = f"flow-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     path = os.path.join(cache_dir(), name)
     try:
@@ -101,8 +97,6 @@ def _load():
         return None, f"generic numpy loop: no kernel library: {err}"
     lib.oscint_pair_flow.argtypes = (PairState, ctypes.c_long)
     lib.oscint_pair_flow.restype = ctypes.c_int
-    lib.oscint_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
-    lib.oscint_hypot.restype = ctypes.c_double
     return lib, f"native kernel {path}"
 
 

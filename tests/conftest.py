@@ -145,9 +145,9 @@ def np_spring_block(alpha, length, d0, d1, r):
 
 
 def np_hess_double_pendulum(sys, x):
-    r1 = math.hypot(x[0], x[1])
+    r1 = math.sqrt(x[0] * x[0] + x[1] * x[1])
     d0, d1 = x[2] - x[0], x[3] - x[1]
-    r2 = math.hypot(d0, d1)
+    r2 = math.sqrt(d0 * d0 + d1 * d1)
     b1 = np_spring_block(sys.alphas[0], sys.lengths[0], x[0], x[1], r1)
     b2 = np_spring_block(sys.alphas[1], sys.lengths[1], d0, d1, r2)
     h = np.zeros((4, 4))
@@ -163,7 +163,7 @@ def np_hess_chain(sys, x):
     px, py = 0.0, 0.0
     for k in range(sys.m):
         d0, d1 = x[2 * k] - px, x[2 * k + 1] - py
-        blk = np_spring_block(sys.alphas[k], sys.lengths[k], d0, d1, math.hypot(d0, d1))
+        blk = np_spring_block(sys.alphas[k], sys.lengths[k], d0, d1, math.sqrt(d0 * d0 + d1 * d1))
         px, py = x[2 * k], x[2 * k + 1]
         i = 2 * k
         h[i:i + 2, i:i + 2] += blk

@@ -414,6 +414,35 @@ class TestStiffFlowKernels:
             messages.append(str(err.value))
         assert messages[0] == messages[1] == messages[2]
 
+    @pytest.mark.parametrize("x0", [
+        [6e-162, -8e-162, 0.6, -1.8],  # spring 0: |d| = 1e-161, its squares subnormal
+        [1.0, 0.0, 1.0, 1e-162],       # spring 1: |d| = 1e-162, its squares zero
+    ])
+    def test_underflowing_spring_collapses_alike(self, x0):
+        # the squares lose digits the .3e message shows: a path that
+        # measured the spring another way would report another length
+        sys = make_double_pendulum(1e-3)
+        x0, y0 = np.array(x0), np.zeros(4)
+        messages = []
+        for run in (sys.stiff_flow, lambda *a: OscillatorySystem.stiff_flow(sys, *a)):
+            with pytest.raises(DomainError, match="length collapsed") as err:
+                run(x0, y0, 1e-5, 3)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("x0", [
+        [6e159, -8e159, 1.2e160, -1.6e160],  # both springs: |d| = 1e160
+        [0.6, -0.8, 1e160, -1e160],          # spring 1 only
+    ])
+    def test_overflowing_spring_gives_the_same_non_finite_state(self, x0):
+        sys = make_double_pendulum(1e-3)
+        x0, y0 = np.array(x0), np.zeros(4)
+        got = sys.stiff_flow(x0, y0, 1e-5, 3)
+        want = OscillatorySystem.stiff_flow(sys, x0, y0, 1e-5, 3)
+        assert not np.all(np.isfinite(want[1]))
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+
     def test_fast_flow_enters_through_stiff_flow(self, pendulum, bench_state):
         calls = []
         kernel = pendulum.stiff_flow

@@ -31,10 +31,10 @@ class DoublePendulumOracle:
         self.alpha1, self.alpha2, self.l1, self.l2 = alpha1, alpha2, l1, l2
 
     def _lengths(self, x):
-        r1 = math.hypot(x[0], x[1])
+        r1 = math.sqrt(x[0] * x[0] + x[1] * x[1])
         d0 = x[2] - x[0]
         d1 = x[3] - x[1]
-        return r1, d0, d1, math.hypot(d0, d1)
+        return r1, d0, d1, math.sqrt(d0 * d0 + d1 * d1)
 
     def slow_potential(self, x):
         return x[1] + x[3]
