@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: converge, actions, simulate, check.  A JSON config file
-provides the experiment description; command-line flags override
-individual fields.  Exit codes: 0 success, 1 numerical failure,
-2 configuration error.
+Subcommands: converge, actions, simulate, check.  For the first three a
+JSON config file provides the experiment description and command-line
+flags override individual fields; check runs the fixed validation suite
+and takes only --inject-fault.  Exit codes: 0 success, 1 numerical
+failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ def build_parser():
         ("simulate", "one method, one stepsize, full diagnostics series"),
         ("check", "run the validation suite"),
     ):
-        p = sub.add_parser(name, help=descr)
-        _add_common_flags(p)
+        # check takes no prefixes: a sweep option such as --h would read as --help
+        p = sub.add_parser(name, help=descr, allow_abbrev=name != "check")
         if name == "check":
             p.add_argument(
                 "--inject-fault",
                 dest="inject_fault",
                 help="corrupt the named check's tolerance (negative control)",
             )
+        else:
+            _add_common_flags(p)
     return parser
 
 
@@ -75,12 +78,11 @@ def _merged_config(args) -> SweepConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "check":
+            results, passed = harness.run_check(inject_fault=args.inject_fault)
+            harness.print_check_report(results)
+            return 0 if passed else 1
         cfg = _merged_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "converge":
             result = harness.run_convergence_sweep(cfg)
             for row in result.rows:
@@ -103,13 +105,9 @@ def main(argv=None) -> int:
                 )
             print(f"wrote {cfg.out}")
             return 0 if all(r.status == "ok" for r in result.rows) else 1
-        if args.command == "simulate":
-            path = harness.run_single(cfg)
-            print(f"wrote {path}")
-            return 0
-        results, passed = harness.run_check(inject_fault=getattr(args, "inject_fault", None))
-        harness.print_check_report(results)
-        return 0 if passed else 1
+        path = harness.run_single(cfg)
+        print(f"wrote {path}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from . import smallmat
-from .effective import FrequencySet, GapViolation, frequencies
+from .effective import FrequencySet, GapViolation, constraint_residuals, frequencies
 from .geometry import project_momentum, project_to_manifold
 from .integrators import Trajectory
 from .model import OscillatorySystem, State, hamiltonian, modal_actions
@@ -35,8 +35,9 @@ class DiagnosticsRecord:
 
     A record of a sampled state holds t and the actions at once.
     energy, min_gap, min_combo and constraint_residual
-    (max_k |c_k(x)|) are computed from the sampled state and its fast
-    frequencies omegas when first read, and then kept.
+    (max_k |c_k(x)|, from effective.constraint_residuals) are computed
+    from the sampled state and its fast frequencies omegas when first
+    read, and then kept.
     """
 
     def __init__(self, system, state, actions, omegas):
@@ -64,9 +65,7 @@ class DiagnosticsRecord:
     @functools.cached_property
     def constraint_residual(self):
         system, state, _ = self._sample
-        if not system.m:
-            return 0.0
-        return float(np.max(np.abs(system.constraint(state.x))))
+        return constraint_residuals(system, state)[0]
 
 
 @dataclass
@@ -84,9 +83,9 @@ def _mode_split(sys, x, y, pos=None):
     passes that projection as pos; the offset from it, expressed in the
     orthonormal fast modes, carries the fast oscillation
     (model.modal_actions).  The frequencies, modes and actions come from
-    sys.mode_actions at pos with the model's stiff_weights, in one pass
-    on plain floats for the two-spring chain, and a Gram eigenvalue that
-    is not positive raises GapViolation, as in
+    sys.mode_actions(x, y, pos), which reads the model's stiff_weights
+    itself, in one pass on plain floats for the two-spring chain, and a
+    Gram eigenvalue that is not positive raises GapViolation, as in
     effective.manifold_frequencies.  A system with m = 0 has no fast
     modes: its frequencies and actions are empty.
     """
@@ -98,7 +97,7 @@ def _mode_split(sys, x, y, pos=None):
         fset = frequencies(sys, pos)
         return pos, fset, modal_actions(sys.epsilon, *fset, x, y, pos)
     try:
-        omegas, vectors, actions = sys.mode_actions(x, y, pos, sys.stiff_weights())
+        omegas, vectors, actions = sys.mode_actions(x, y, pos)
     except smallmat.NotPositiveDefinite as exc:
         raise GapViolation(str(exc)) from exc
     return pos, FrequencySet(omegas, vectors), actions

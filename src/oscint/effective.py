@@ -72,15 +72,15 @@ def manifold_frequencies(sys: OscillatorySystem, x) -> FrequencySet:
     omega = sqrt(lambda) and v = G^T K^1/2 u / omega is the orthonormal
     mode vector.
     Off the manifold the result differs from frequencies() by O(|c|).
-    The pairs come from sys.manifold_frequencies, on plain floats for
-    the two-spring chain.  Raises GapViolation when the smallest
-    eigenvalue of S is not positive (G lost rank).  A system with
-    m = 0 has no fast frequencies.
+    The pairs come from sys.manifold_frequencies(x), which reads K from
+    the model itself, on plain floats for the two-spring chain.  Raises
+    GapViolation when the smallest eigenvalue of S is not positive (G
+    lost rank).  A system with m = 0 has no fast frequencies.
     """
     if sys.m == 0:
         return frequencies(sys, x)
     try:
-        return FrequencySet(*sys.manifold_frequencies(x, sys.stiff_weights()))
+        return FrequencySet(*sys.manifold_frequencies(x))
     except smallmat.NotPositiveDefinite as exc:
         raise GapViolation(str(exc)) from exc
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys as _sys
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -79,7 +78,7 @@ class SweepConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, not {value!r}")
-        for h in [*self.stepsizes, self.h_ref]:
+        for h in self.stepsizes:  # h_ref only where the reference runs
             try:
                 integrators.step_count(self.t_end, h)
             except ValueError as exc:
@@ -255,9 +254,14 @@ def run_convergence_sweep(cfg: SweepConfig) -> SweepResult:
 
     Also integrates the reference at h_ref/2 and records the resulting
     change as the reference guard; rows are written to cfg.out ordered
-    as configured regardless of worker scheduling.
+    as configured regardless of worker scheduling.  h_ref must divide
+    t_end, which only this command checks.
     """
     cfg.validate()
+    try:
+        integrators.step_count(cfg.t_end, cfg.h_ref)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     sys = build_system(cfg)
     s0 = initial_state(cfg, sys)
     ref, guard = _reference_and_guard(sys, s0, cfg.h_ref, cfg.t_end)
@@ -540,13 +544,9 @@ def run_check(inject_fault: Optional[str] = None):
     return results, all(r.passed for r in results)
 
 
-def print_check_report(results, stream=None):
-    stream = stream or _sys.stdout
+def print_check_report(results):
     for res in results:
-        print(res.describe(), file=stream)
-    print(f"two-spring stiff_flow path: {native.status()}", file=stream)
+        print(res.describe())
+    print(f"two-spring stiff_flow path: {native.status()}")
     failed = [r for r in results if not r.passed]
-    print(
-        f"{len(results) - len(failed)}/{len(results)} checks passed",
-        file=stream,
-    )
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")

@@ -63,6 +63,8 @@ class OscillatorySystem:
     constraint_hessian, project_position, project_momentum,
     projection_vjp, manifold_frequencies and mode_actions have generic
     defaults; a model may override them with faster or exact versions.
+    manifold_frequencies(x) and mode_actions(x, y, position) take no
+    weights: they and their overrides read stiff_weights() on each call.
     """
 
     n: int
@@ -193,9 +195,10 @@ class OscillatorySystem:
         u = v - jac_pos.T @ smallmat.solve_dense(jac @ jac_pos.T, jac @ v)
         return u + self.constraint_hessian(x, lam) @ u
 
-    def manifold_frequencies(self, x, weights):
+    def manifold_frequencies(self, x):
         """(omegas, vectors) from the m x m SPD matrix
-        S = K^1/2 G G^T K^1/2 at x for the stiff weights K
+        S = K^1/2 G G^T K^1/2 at x for the stiff weights K, read from
+        stiff_weights() on every call
         (effective.manifold_frequencies): for S u = lambda u, ascending,
         omega = sqrt(lambda) and the orthonormal mode vector
         v = G^T K^1/2 u / omega.
@@ -206,7 +209,7 @@ class OscillatorySystem:
         its order and its exceptions.
         """
         x = np.asarray(x, dtype=float)
-        a = self.constraint_jacobian(x).T * np.sqrt(weights)  # G^T K^1/2, n x m
+        a = self.constraint_jacobian(x).T * np.sqrt(self.stiff_weights())  # G^T K^1/2, n x m
         pairs = smallmat.sym_eig(a.T @ a)
         if pairs.values[0] <= 0.0:
             raise smallmat.NotPositiveDefinite(
@@ -215,10 +218,10 @@ class OscillatorySystem:
         omegas = np.sqrt(pairs.values)
         return omegas, (a @ pairs.vectors) / omegas
 
-    def mode_actions(self, x, y, position, weights):
+    def mode_actions(self, x, y, position):
         """(omegas, vectors, actions) of the state (x, y) about the
         manifold point position (diagnostics._mode_split): the pairs of
-        manifold_frequencies(position, weights), then modal_actions.
+        manifold_frequencies(position), then modal_actions.
 
         An override must raise what this path raises (DomainError,
         smallmat.NoConvergence and smallmat.NotPositiveDefinite, with
@@ -226,7 +229,7 @@ class OscillatorySystem:
         rounding, but its omegas must equal manifold_frequencies' bit
         for bit.
         """
-        omegas, vectors = self.manifold_frequencies(position, weights)
+        omegas, vectors = self.manifold_frequencies(position)
         return omegas, vectors, modal_actions(self.epsilon, omegas, vectors, x, y, position)
 
     def stiff_flow(self, x, y, h_micro, nsteps):
@@ -716,21 +719,21 @@ class StiffSpringChain(OscillatorySystem):
             q0 + (h00 * q0 + h01 * q1 - f0), q1 + (h01 * q0 + h11 * q1 - f1), q2 + f0, q3 + f1,
         ])
 
-    def manifold_frequencies(self, x, weights):
+    def manifold_frequencies(self, x):
         """The pairs of _pair_modes at x."""
         if self.m != 2:
-            return super().manifold_frequencies(x, weights)
-        om0, om1, vectors = _pair_modes(*np.asarray(x, dtype=float).tolist(), weights)
+            return super().manifold_frequencies(x)
+        om0, om1, vectors = _pair_modes(*np.asarray(x, dtype=float).tolist(), self.stiff_weights())
         return np.array([om0, om1]), np.array(vectors).reshape(4, 2)
 
-    def mode_actions(self, x, y, position, weights):
+    def mode_actions(self, x, y, position):
         """The pairs of _pair_modes at position, then c_k, cdot_k and
         I_k on floats, each sum over the four coordinates in index
         order."""
         if self.m != 2:
-            return super().mode_actions(x, y, position, weights)
+            return super().mode_actions(x, y, position)
         p0, p1, p2, p3 = np.asarray(position, dtype=float).tolist()
-        om0, om1, vectors = _pair_modes(p0, p1, p2, p3, weights)
+        om0, om1, vectors = _pair_modes(p0, p1, p2, p3, self.stiff_weights())
         v00, v01, v10, v11, v20, v21, v30, v31 = vectors
         x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
         y0, y1, y2, y3 = np.asarray(y, dtype=float).tolist()

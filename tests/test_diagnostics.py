@@ -22,6 +22,7 @@ from oscint.integrators import MacroMethod, Trajectory, integrate, integrate_mic
 from oscint.model import DomainError, OscillatorySystem, State, hamiltonian
 from oscint.smallmat import NoConvergence, NotPositiveDefinite
 
+from test_effective import zero_weight
 from test_geometry import assert_same_failure_of, outcome
 from test_mass_metric import Scaled, orthogonal
 
@@ -339,13 +340,12 @@ class TestModeActionsKernel:
     @pytest.mark.parametrize("elongation", [1.0, 10.0])
     def test_matches_default(self, eps, elongation):
         sys = make_double_pendulum(eps, 1.3, 0.7, 1.1, 0.9)
-        weights = sys.stiff_weights()
         for state in random_bounded_energy_states(sys, 60, seed=650, elongation=elongation):
             proj = sys.project_position(state.x)[0]
             # about the projection, and about the raw position off the manifold
             for x, pos in ((state.x, proj), (proj, state.x)):
-                got = sys.mode_actions(x, state.y, pos, weights)
-                want = OscillatorySystem.mode_actions(sys, x, state.y, pos, weights)
+                got = sys.mode_actions(x, state.y, pos)
+                want = OscillatorySystem.mode_actions(sys, x, state.y, pos)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
                 assert np.all(np.abs(got[2] - want[2]) <= self.RTOL * np.abs(want[2]))
@@ -361,19 +361,18 @@ class TestModeActionsKernel:
         s = math.sqrt(0.5)
         on_manifold = np.array([s, -s, math.sqrt(2.0), 0.0])
         y = np.array([0.1, 0.2, -0.3, 0.4])
-        weights = pendulum.stiff_weights()
-        zero = np.array([1.0, 0.0])
         assert_same_failure_of(
-            pendulum, "mode_actions", (on_manifold, y, on_manifold, zero), NotPositiveDefinite
+            zero_weight(pendulum), "mode_actions", (on_manifold, y, on_manifold),
+            NotPositiveDefinite,
         )
         for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
             assert_same_failure_of(
-                pendulum, "mode_actions", (on_manifold, y, collapsed, weights), DomainError
+                pendulum, "mode_actions", (on_manifold, y, collapsed), DomainError
             )
         for k in range(4):
             x = on_manifold.copy()
             x[k] = math.nan
-            assert_same_failure_of(pendulum, "mode_actions", (x, y, x, weights), NoConvergence)
+            assert_same_failure_of(pendulum, "mode_actions", (x, y, x), NoConvergence)
 
     def test_observer_failures(self, monkeypatch, pendulum):
         s = math.sqrt(0.5)

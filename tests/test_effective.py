@@ -42,6 +42,17 @@ def on_manifold_config():
     return np.array([s, -s, math.sqrt(2.0), 0.0])
 
 
+def zero_weight(pendulum):
+    """pendulum with stiff weights (1, 0): the zero weight leaves the
+    Gram matrix S a zero row and column, so eigenvalue 0."""
+
+    class Degenerate(type(pendulum)):
+        def stiff_weights(self):
+            return np.array([1.0, 0.0])
+
+    return Degenerate(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
+
+
 class TestFrequencies:
     def test_single_pendulum_constant(self):
         alpha = 1.7
@@ -75,14 +86,8 @@ class TestManifoldFrequencies:
         assert np.max(np.abs(fset.vectors.T @ fset.vectors - np.eye(2))) <= 1e-14
 
     def test_gap_violation_on_a_singular_gram_matrix(self, pendulum):
-        # a zero weight leaves S a zero row and column: eigenvalue 0
-        class Degenerate(type(pendulum)):
-            def stiff_weights(self):
-                return np.array([1.0, 0.0])
-
-        sys = Degenerate(pendulum.epsilon, pendulum.alphas, pendulum.lengths)
         with pytest.raises(GapViolation, match="not positive"):
-            manifold_frequencies(sys, on_manifold_config())
+            manifold_frequencies(zero_weight(pendulum), on_manifold_config())
 
 
 class TestStiffWeightsRequired:
@@ -130,40 +135,39 @@ class TestManifoldFrequenciesKernel:
     @pytest.mark.parametrize("elongation", [1.0, 10.0, 30.0])
     def test_matches_generic_path(self, eps, elongation):
         sys = make_double_pendulum(eps, 1.3, 0.7, 1.1, 0.9)
-        weights = sys.stiff_weights()
         for state in sample_states(sys, 60, seed=640, elongation=elongation):
             # the raw position is a valid input too: S is SPD off the
             # manifold; a stalled projection is TestProjectionKernel's case
             projection = outcome(lambda: sys.project_position(state.x))
             starts = [state.x] if isinstance(projection, Exception) else [state.x, projection[0]]
             for x in starts:
-                got = sys.manifold_frequencies(x, weights)
-                want = OscillatorySystem.manifold_frequencies(sys, x, weights)
+                got = sys.manifold_frequencies(x)
+                want = OscillatorySystem.manifold_frequencies(sys, x)
                 assert np.max(np.abs(got[0] - want[0])) <= self.TOL
                 assert np.max(np.abs(got[1] - want[1])) <= self.TOL
 
     def test_no_rotation_branch(self, pendulum):
         # springs at right angles: S is diagonal, so Jacobi rotates
-        # nothing, and the weights put the larger entry first
+        # nothing, and the weights (1, 0.25) put the larger entry first,
+        # (0.25, 1) the smaller
         x = on_manifold_config()
-        for weights in (np.array([1.0, 0.25]), np.array([0.25, 1.0])):
-            got = pendulum.manifold_frequencies(x, weights)
-            want = OscillatorySystem.manifold_frequencies(pendulum, x, weights)
+        for alphas in ((1.0, 0.5), (0.5, 1.0)):
+            sys = make_double_pendulum(pendulum.epsilon, *alphas)
+            assert np.array_equal(sys.stiff_weights(), np.square(alphas))
+            got = sys.manifold_frequencies(x)
+            want = OscillatorySystem.manifold_frequencies(sys, x)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
     def test_same_failures(self, pendulum):
-        weights = pendulum.stiff_weights()
         for k in range(4):
             x = on_manifold_config()
             x[k] = math.nan
-            assert_same_failure_of(pendulum, "manifold_frequencies", (x, weights), NoConvergence)
+            assert_same_failure_of(pendulum, "manifold_frequencies", (x,), NoConvergence)
         for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
-            assert_same_failure_of(
-                pendulum, "manifold_frequencies", (collapsed, weights), DomainError
-            )
+            assert_same_failure_of(pendulum, "manifold_frequencies", (collapsed,), DomainError)
         assert_same_failure_of(
-            pendulum, "manifold_frequencies", (on_manifold_config(), np.array([1.0, 0.0])),
+            zero_weight(pendulum), "manifold_frequencies", (on_manifold_config(),),
             NotPositiveDefinite,
         )
 
@@ -171,9 +175,9 @@ class TestManifoldFrequenciesKernel:
         calls = []
         default = OscillatorySystem.manifold_frequencies
 
-        def spy(sys, x, weights):
+        def spy(sys, x):
             calls.append(type(sys).__name__)
-            return default(sys, x, weights)
+            return default(sys, x)
 
         monkeypatch.setattr(OscillatorySystem, "manifold_frequencies", spy)
         for sys in (
@@ -191,8 +195,8 @@ class TestManifoldFrequenciesKernel:
     def test_inputs_not_modified(self, pendulum):
         for state in sample_states(pendulum, 5, seed=642, elongation=10.0):
             x = state.x.copy()
-            weights = pendulum.stiff_weights()
-            pendulum.manifold_frequencies(state.x, weights)
+            weights = pendulum.stiff_weights().copy()
+            pendulum.manifold_frequencies(state.x)
             assert np.array_equal(state.x, x)
             assert np.array_equal(weights, pendulum.stiff_weights())
 

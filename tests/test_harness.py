@@ -297,6 +297,16 @@ class TestReferenceGuard:
         with pytest.raises(diagnostics.TimeMismatch):
             harness._reference_and_guard(pendulum, bench_state, 1e-2, 0.1)
 
+    def test_h_ref_not_dividing_t_end_fails_before_the_reference(self, tmp_path, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr(harness, "_reference_and_guard", unreached)
+        cfg = small_config(tmp_path, t_end=0.05, stepsizes=[0.05], h_ref=0.03)
+        with pytest.raises(ConfigError, match="does not divide"):
+            harness.run_convergence_sweep(cfg)
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestActionStudy:
     def test_series_and_summary(self, tmp_path):
@@ -610,6 +620,28 @@ class TestCli:
 
     def test_check_fault_injection_exit_code(self):
         assert cli.main(["check", "--inject-fault", "frequency_pair"]) == 1
+
+    @pytest.mark.parametrize(
+        "option", [["--epsilon", "0.5"], ["--t-end", "3"], ["--config", "c.json"], ["--h", "3"]]
+    )
+    def test_check_takes_no_config_options(self, capsys, option):
+        # the suite runs fixed settings: argparse rejects an option it would ignore
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check", *option])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code", [("actions", 0), ("simulate", 0), ("converge", 2)])
+    def test_h_ref_must_divide_t_end_only_for_converge(self, tmp_path, capsys, command, code):
+        # only converge runs the reference at step h_ref
+        out = tmp_path / "o.csv"
+        assert cli.main([
+            command, "--method", "projected", "--h", "0.05", "--epsilon", "0.01",
+            "--t-end", "0.05", "--h-ref", "0.03", "--out", str(out),
+        ]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "config error: step 0.03 does not divide" in capsys.readouterr().err
 
     def test_unknown_fault_name_exit_code(self, capsys):
         assert cli.main(["check", "--inject-fault", "no_such_check"]) == 2
