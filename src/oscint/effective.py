@@ -92,20 +92,26 @@ def grad_frequencies(sys: OscillatorySystem, x) -> np.ndarray:
     Exact by first-order perturbation of the stiff Hessian (orthonormal
     v_k, simple omega_k^2 guaranteed by the gap check):
     d omega_k / dx_j = v_k^T (d_j hess_stiff) v_k / (2 omega_k), with the
-    eigenpairs from manifold_frequencies.
+    eigenpairs of manifold_frequencies.  The matrix comes from
+    sys.frequency_gradients(x), on plain floats for the two-spring
+    chain.  Raises GapViolation where manifold_frequencies does.
     """
-    x = np.asarray(x, dtype=float)
-    fset = manifold_frequencies(sys, x)
-    grad = np.empty((sys.m, sys.n))
-    for k, omega in enumerate(fset.omegas):
-        grad[k] = sys.hess_stiff_contract(x, fset.vectors[:, k]) / (2.0 * omega)
-    return grad
+    if sys.m == 0:
+        return np.empty((0, sys.n))
+    try:
+        return sys.frequency_gradients(x)
+    except smallmat.NotPositiveDefinite as exc:
+        raise GapViolation(str(exc)) from exc
 
 
 def correction_force(sys: OscillatorySystem, x, actions) -> np.ndarray:
-    """Force -sum_k I_k grad omega_k(x) exerted by the fast modes."""
+    """Force -sum_k I_k grad omega_k(x) exerted by the fast modes, for
+    one action per fast mode (ValueError otherwise); zero actions need
+    no gradients."""
     actions = np.asarray(actions, dtype=float)
-    if sys.m == 0 or not np.any(actions):
+    if actions.shape != (sys.m,):
+        raise ValueError(f"actions must have shape ({sys.m},), got {actions.shape}")
+    if not any(actions.tolist()):
         return np.zeros(sys.n)
     return -(grad_frequencies(sys, x).T @ actions)
 
@@ -118,7 +124,7 @@ def effective_energy(sys: OscillatorySystem, state: State, actions) -> float:
 
 
 def _applied_force(sys, x, actions):
-    return -sys.grad_slow(x) + correction_force(sys, x, actions)
+    return correction_force(sys, x, actions) - sys.grad_slow(x)
 
 
 def _rattle_step_cached(sys, state, actions, h, force0):

@@ -61,8 +61,9 @@ class OscillatorySystem:
     constraint_jacobian and, for m > 0, stiff_weights.  All evaluators
     must be pure.  stiff_flow, stiff_eig_bound, hess_stiff_contract,
     constraint_hessian, project_position, project_momentum,
-    projection_vjp, manifold_frequencies and mode_actions have generic
-    defaults; a model may override them with faster or exact versions.
+    projection_vjp, manifold_frequencies, mode_actions and
+    frequency_gradients have generic defaults; a model may override them
+    with faster or exact versions.
     manifold_frequencies(x) and mode_actions(x, y, position) take no
     weights: they and their overrides read stiff_weights() on each call.
     """
@@ -231,6 +232,21 @@ class OscillatorySystem:
         """
         omegas, vectors = self.manifold_frequencies(position)
         return omegas, vectors, modal_actions(self.epsilon, omegas, vectors, x, y, position)
+
+    def frequency_gradients(self, x):
+        """(m, n) matrix whose row k is the gradient of omega_k at x on
+        the manifold, v_k^T (d_j hess_stiff) v_k / (2 omega_k) for the
+        pairs of manifold_frequencies(x) (effective.grad_frequencies).
+
+        Default: hess_stiff_contract per mode.  An override must raise
+        what this path raises, with the same messages.
+        """
+        x = np.asarray(x, dtype=float)
+        omegas, vectors = self.manifold_frequencies(x)
+        grad = np.empty((self.m, self.n))
+        for k, omega in enumerate(omegas):
+            grad[k] = self.hess_stiff_contract(x, vectors[:, k]) / (2.0 * omega)
+        return grad
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """Leapfrog of xdot = y, ydot = -grad stiff / epsilon^2 over
@@ -751,6 +767,27 @@ class StiffSpringChain(OscillatorySystem):
             (0.5 * (q0 * q0) + 0.5 * (w0 * w0) * (c0 * c0)) / om0,
             (0.5 * (q1 * q1) + 0.5 * (w1 * w1) * (c1 * c1)) / om1,
         ])
+
+    def frequency_gradients(self, x):
+        """For two springs, the default on floats: the pairs of
+        _pair_modes, then per mode _spring_contract on both segments (t
+        for the first, s for the second) in the default's order, the row
+        ((t - s) / c, s / c) with c = 2 omega: bit-identical but for the
+        sign of a zero.  Other chains run the default."""
+        if self.m != 2:
+            return super().frequency_gradients(x)
+        x0, x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        om0, om1, vectors = _pair_modes(x0, x1, x2, x3, self.stiff_weights())
+        v00, v01, v10, v11, v20, v21, v30, v31 = vectors
+        r1, d0, d1, r2 = _pair_segments(x0, x1, x2, x3)
+        (a0, a1), (l0, l1) = self._a2, self._len
+        rows = []
+        for om, w0, w1, w2, w3 in ((om0, v00, v10, v20, v30), (om1, v01, v11, v21, v31)):
+            t0, t1 = _spring_contract(a0, l0, x0, x1, r1, w0, w1)
+            s0, s1 = _spring_contract(a1, l1, d0, d1, r2, w2 - w0, w3 - w1)
+            c = 2.0 * om
+            rows.append(((t0 - s0) / c, (t1 - s1) / c, s0 / c, s1 / c))
+        return np.array(rows)
 
     def stiff_flow(self, x, y, h_micro, nsteps):
         """For two springs, the C kernel of native.pair_flow: the generic

@@ -201,6 +201,82 @@ class TestManifoldFrequenciesKernel:
             assert np.array_equal(weights, pendulum.stiff_weights())
 
 
+class TestFrequencyGradientsKernel:
+    """The two-spring chain's float frequency_gradients against the
+    generic default (the pairs of manifold_frequencies, then
+    hess_stiff_contract per mode), which is its oracle bit for bit."""
+
+    def test_double_pendulum_has_the_override(self, pendulum):
+        assert type(pendulum).frequency_gradients is not OscillatorySystem.frequency_gradients
+
+    @pytest.mark.parametrize("eps", [1e-3, 2e-2])
+    def test_bit_identical_to_the_default(self, eps):
+        # uneven alphas and lengths, in both weight orders
+        compared = 0
+        for alphas in ((1.3, 0.7), (0.7, 1.3)):
+            sys = make_double_pendulum(eps, *alphas, 1.1, 0.9)
+            for state in sample_states(sys, 80, seed=650, elongation=10.0):
+                projection = outcome(lambda: sys.project_position(state.x))
+                if isinstance(projection, Exception):
+                    continue
+                x = projection[0]
+                got = sys.frequency_gradients(x)
+                assert got.shape == (2, 4)
+                assert np.array_equal(got, OscillatorySystem.frequency_gradients(sys, x))
+                compared += 1
+        assert compared == 160
+
+    def test_same_failures(self, pendulum):
+        for k in range(4):
+            for bad in (math.nan, math.inf):
+                x = on_manifold_config()
+                x[k] = bad
+                assert_same_failure_of(pendulum, "frequency_gradients", (x,), NoConvergence)
+        for collapsed in (np.array([0.0, 1e-9, 0.7, -0.7]), np.array([0.7, -0.7, 0.7, -0.7])):
+            assert_same_failure_of(pendulum, "frequency_gradients", (collapsed,), DomainError)
+        degenerate = zero_weight(pendulum)
+        assert_same_failure_of(
+            degenerate, "frequency_gradients", (on_manifold_config(),), NotPositiveDefinite
+        )
+        with pytest.raises(GapViolation, match="not positive") as err:
+            grad_frequencies(degenerate, on_manifold_config())
+        assert isinstance(err.value.__cause__, NotPositiveDefinite)
+        assert str(err.value) == str(outcome(
+            lambda: OscillatorySystem.frequency_gradients(degenerate, on_manifold_config())
+        ))
+
+    def test_list_inputs(self, pendulum):
+        x = _bent_config(0.3, 1.2)
+        want = pendulum.frequency_gradients(x)
+        assert np.array_equal(pendulum.frequency_gradients(x.tolist()), want)
+        assert np.array_equal(grad_frequencies(pendulum, x.tolist()), want)
+
+    def test_inputs_not_modified(self, pendulum):
+        for state in sample_states(pendulum, 5, seed=651, elongation=10.0):
+            x = state.x.copy()
+            weights = pendulum.stiff_weights().copy()
+            pendulum.frequency_gradients(state.x)
+            assert np.array_equal(state.x, x)
+            assert np.array_equal(weights, pendulum.stiff_weights())
+
+    def test_other_models_run_the_default(self, monkeypatch, pendulum):
+        calls = []
+        default = OscillatorySystem.frequency_gradients
+
+        def spy(sys, x):
+            calls.append(type(sys).__name__)
+            return default(sys, x)
+
+        monkeypatch.setattr(OscillatorySystem, "frequency_gradients", spy)
+        chain = make_spring_chain(3, 1e-2, [1.0, 1.3, 0.8], [1.0, 0.7, 1.2])
+        grad_frequencies(chain, _chain_config((0.3, 1.2, -0.4), (1.0, 0.7, 1.2)))
+        s = orthogonal(4, seed=652)
+        grad_frequencies(Scaled(pendulum, s), s.T @ on_manifold_config())
+        assert calls == ["StiffSpringChain", "Scaled"]
+        grad_frequencies(pendulum, on_manifold_config())
+        assert len(calls) == 2
+
+
 class TestGradFrequencies:
     def test_constant_frequency_zero_gradient(self):
         sys = make_spring_chain(1, 1e-2, [2.0], [1.0])
@@ -264,6 +340,39 @@ class TestCorrectionForce:
     def test_zero_actions_zero_force(self, pendulum):
         force = correction_force(pendulum, on_manifold_config(), np.zeros(2))
         assert np.array_equal(force, np.zeros(4))
+
+    @pytest.mark.parametrize("actions", [np.zeros(3), np.ones(3), np.ones((2, 1)), 1.0])
+    def test_one_action_per_mode(self, pendulum, actions):
+        with pytest.raises(ValueError, match=r"actions must have shape \(2,\), got"):
+            correction_force(pendulum, on_manifold_config(), actions)
+
+    def test_zero_actions_need_no_gradients(self, monkeypatch, pendulum):
+        calls = []
+        kernel = type(pendulum).frequency_gradients
+
+        def spy(sys, x):
+            calls.append(1)
+            return kernel(sys, x)
+
+        monkeypatch.setattr(type(pendulum), "frequency_gradients", spy)
+        x = _bent_config(0.3, 1.2)
+        assert np.array_equal(correction_force(pendulum, x, np.zeros(2)), np.zeros(4))
+        assert calls == []
+        correction_force(pendulum, x, np.array([0.0, 1.5]))
+        assert calls == [1]
+
+    def test_list_actions(self, pendulum):
+        x = _bent_config(0.3, 1.2)
+        want = correction_force(pendulum, x, np.array([0.5, 1.5]))
+        assert np.array_equal(correction_force(pendulum, x, [0.5, 1.5]), want)
+        assert np.array_equal(want, -(grad_frequencies(pendulum, x).T @ np.array([0.5, 1.5])))
+
+    @pytest.mark.parametrize("make", [FreeSlowSystem, harmonic_1d])
+    def test_no_fast_modes_no_force(self, make):
+        sys = make()
+        x = np.linspace(0.5, 1.0, sys.n)
+        for actions in (np.zeros(0), []):
+            assert np.array_equal(correction_force(sys, x, actions), np.zeros(sys.n))
 
     def test_linearity(self, pendulum):
         x = _bent_config(0.3, 1.2)
